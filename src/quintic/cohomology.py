@@ -1,27 +1,82 @@
 """Line-bundle cohomology on the weak del Pezzo surface.
 
-h^0 is computed by base-locus peeling: while some irreducible negative
-curve C (a (-2)-curve of the chosen surface type or an irreducible
-(-1)-class) has D.C < 0, replace D by D - C; sections are unchanged at
-each step.  A class meeting -K negatively has no sections, and a class
-that is nef against every negative curve has h^0 = chi and no higher
-cohomology (characteristic-zero vanishing; this is the one semantic
-assumption of the module).  h^2 is h^0(K - D) by Serre duality and h^1
-closes the Euler characteristic.
+h^0 is computed by Zariski rounds: Bauer's construction of the Zariski
+decomposition (Zariski, Ann. Math. 76 (1962); T. Bauer, "A simple proof for
+the existence of Zariski decompositions on surfaces", arXiv:0712.1576),
+followed by removal of the round-up of the negative part.  The negative
+curves of a type are its (-2)-curves and its irreducible (-1)-classes.  The
+module assumes, as a weak del Pezzo surface of degree 5 in characteristic
+zero provides, that a class meeting every negative curve nonnegatively is
+nef and that a nef class D has h^0 = chi(D) and no higher cohomology
+(Kawamata-Viehweg: D - K is nef and big).  h^2 is h^0(K - D) by Serre
+duality and h^1 closes the Euler characteristic.
 
-The peeling is confluent: distinct irreducible curves meet nonnegatively,
-so any two admissible subtraction orders commute.
+One round on a class D, with A the measure class described below:
+
+1. If D.(-K) < 0 or D.A < 0, then h^0(D) = 0.
+2. If D.C >= 0 for every negative curve C, then h^0(D) = max(chi(D), 0).
+3. Otherwise let S = {C : D.C < 0} and solve (D - N).C = 0 for C in S, with
+   N a rational combination of the curves of S.  Add to S every negative
+   curve C with (D - N).C < 0 and solve again, until no curve is added.
+   If the intersection matrix of S is not negative definite, h^0(D) = 0.
+4. Otherwise replace D by D - ceil(N) and start the next round.
+
+Proofs.  Distinct irreducible curves meet nonnegatively, so when S is
+negative definite, -M_S (M_S its intersection matrix) is a nonsingular
+M-matrix and (-M_S)^{-1} is entrywise nonnegative with a positive diagonal.
+Hence (*): a combination X of the curves of S with X.C <= 0 for every C in
+S has nonnegative coefficients.
+
+(a) N is effective, and nonzero.  The first solve has N.C = D.C < 0 on S,
+    so (*) and the positive diagonal give N > 0 on every curve of the
+    first S.  A growth step from S to S' changes N to N' with
+    (N' - N).C = (D - N).C <= 0 for C in S', so N' >= N by (*).
+(b) h^0(D) = h^0(D - ceil N).  Let E be an effective divisor in |D|, and
+    write E = E_S + E' with E_S supported on S and E' without components
+    in S.  For C in S, E.C = D.C = N.C, so (E_S - N).C = -E'.C <= 0 and (*)
+    gives E_S >= N.  E is integral, so E >= ceil(N): every section of O(D)
+    vanishes on ceil(N), and multiplication by its equation identifies the
+    sections of O(D - ceil N) with those of O(D).
+(c) If S is not negative definite, D is not pseudo-effective, so
+    h^0(D) = 0.  A pseudo-effective D has a Zariski decomposition
+    D = P + N_Z with P nef and supp N_Z negative definite (Zariski; Fujita
+    for pseudo-effective classes).  Bauer's lemma:
+    every S of step 3 lies in supp N_Z.  A first curve has
+    N_Z.C = D.C - P.C < 0, so it is a component of N_Z.  If S lies in supp
+    N_Z and is therefore negative definite, split N_Z = N_S + N' along S;
+    for C in S, (N_S - N).C = -P.C - N'.C <= 0, so N_Z >= N by (*).  A curve
+    added next has (D - N).C = P.C + (N_Z - N).C < 0 with P.C >= 0, so it is
+    a component of the effective N_Z - N.  Subsets of a negative definite
+    set are negative definite.
+(d) The rounds terminate.  A = m(-K) - Z, where Z is the combination of
+    the (-2)-curves with Z.C = -det(-M) on each of them (the adjugate of
+    -M applied to the all-ones vector) and m exceeds Z.L on every
+    irreducible (-1)-class L.  So A.C > 0 for every negative curve C, and A
+    is nef; step 1 is then sound.  By (a), ceil(N) is a nonzero effective
+    combination of negative curves, so A.D drops by at least 1 per round,
+    and step 1 ends the rounds once A.D < 0: at most A.D + 1 rounds.  The
+    drop is checked on every round; ReductionDivergenceError reports a
+    failed check and is not a size cap.
+
+Support table.  Each type has one table keyed by the bitmask of S over
+negative_curves(t).all.  An entry is None (S not negative definite) or
+the indices of S with the adjugate and the determinant of -M_S, so that
+det * N = adj * (-b), b = (D.C) on S, is integral and ceil(N) is a floor
+division.  Entries are filled on first use.  The scalar h_all and the
+batch sweep_box run the same rounds over the same table; the batch groups
+its open rows by support mask at every growth step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .euler import chi_line, euler_pair, f_tilde_class, hilbert_poly, structure_class
-from .lattice import H, K, DivClass, minus_one_classes
+from .lattice import H, K, ZERO, DivClass, minus_one_classes
 from .surfaces import SurfaceType
 
 __all__ = [
@@ -40,12 +95,9 @@ __all__ = [
     "sweep_box",
 ]
 
-# Hard cap on peeling steps; hitting it raises, never answers silently.
-MAX_REDUCTION_STEPS = 200
-
 
 class ReductionDivergenceError(RuntimeError):
-    pass
+    """A Zariski round failed to lower the measure A.D (an invariant check)."""
 
 
 class CohomologyConsistencyError(RuntimeError):
@@ -90,24 +142,140 @@ def negative_curves(t: SurfaceType) -> NegativeCurveSet:
     return NegativeCurveSet(minus_two, minus_one)
 
 
+class _Support:
+    """A negative definite support S: its curve indices, adj(-M_S), det(-M_S)."""
+
+    __slots__ = ("idx", "adj", "det", "idx_np", "adj_t")
+
+    def __init__(self, idx: tuple[int, ...], adj: tuple[tuple[int, ...], ...], det: int):
+        self.idx = idx
+        self.adj = adj
+        self.det = det
+        self.idx_np = np.array(idx, dtype=np.int64)
+        self.adj_t = np.array(adj, dtype=np.int64).reshape(len(idx), len(idx)).T
+
+
+def _solve_support(gram, idx: tuple[int, ...]) -> _Support | None:
+    """Table entry for the curves idx: None unless -M_S is positive definite.
+
+    Gauss-Jordan elimination without row exchanges over the rationals; by
+    Sylvester's criterion -M_S is positive definite iff every pivot is
+    positive, and then det is the pivot product and adj = det * inverse.
+    """
+    n = len(idx)
+    rows = [
+        [Fraction(-gram[i][j]) for j in idx] + [Fraction(int(r == c)) for c in range(n)]
+        for r, i in enumerate(idx)
+    ]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = rows[col][col]
+        if pivot <= 0:
+            return None
+        det *= pivot
+        rows[col] = [x / pivot for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    adj = tuple(tuple(det * x for x in row[n:]) for row in rows)
+    if det.denominator != 1 or any(x.denominator != 1 for row in adj for x in row):
+        raise CohomologyConsistencyError(f"non-integral adjugate for support {idx}")
+    return _Support(idx, tuple(tuple(int(x) for x in row) for row in adj), int(det))
+
+
+class _Kernel:
+    """Per-type data of the Zariski rounds, shared by the scalar and batch forms."""
+
+    def __init__(self, t: SurfaceType):
+        nc = negative_curves(t)
+        self.label = t.label
+        self.curves = nc.all
+        self.gram = tuple(tuple(c.dot(e) for e in self.curves) for c in self.curves)
+        self._table: dict[int, _Support | None] = {}
+        z = ZERO
+        if nc.minus_two:
+            sup = self.support((1 << len(nc.minus_two)) - 1)
+            if sup is None:
+                raise CohomologyConsistencyError(f"{t.label}: (-2)-curves not negative definite")
+            for row, c in zip(sup.adj, nc.minus_two):
+                z = z + sum(row) * c
+        m = 1 + max((z.dot(l) for l in nc.minus_one_irred), default=0)
+        self.measure = m * -K - z
+        self.measure_degs = tuple(self.measure.dot(c) for c in self.curves)
+        if any(x <= 0 for x in self.measure_degs):
+            raise CohomologyConsistencyError(f"{t.label}: measure class not positive on curves")
+
+    def support(self, mask: int) -> _Support | None:
+        if mask not in self._table:
+            idx = tuple(i for i in range(len(self.curves)) if mask >> i & 1)
+            self._table[mask] = _solve_support(self.gram, idx)
+        return self._table[mask]
+
+    def negative_part(self, degs: list[int], mask: int) -> tuple[_Support | None, list[int]]:
+        """Step 3 from the curves in mask: the final support and det * N on it.
+
+        degs are the degrees D.C on all curves; the support is None when it
+        is not negative definite.
+        """
+        while True:
+            sup = self.support(mask)
+            if sup is None:
+                return None, []
+            num = [-sum(a * degs[j] for a, j in zip(row, sup.idx)) for row in sup.adj]
+            grown = mask
+            for i, row in enumerate(self.gram):
+                if not mask >> i & 1 and sup.det * degs[i] < sum(
+                    x * row[j] for x, j in zip(num, sup.idx)
+                ):
+                    grown |= 1 << i
+            if grown == mask:
+                return sup, num
+            mask = grown
+
+
+@lru_cache(maxsize=None)
+def _kernel(t: SurfaceType) -> _Kernel:
+    return _Kernel(t)
+
+
+_ANTI_K = -K
+
+
 @lru_cache(maxsize=None)
 def _h0(coeffs: tuple[int, ...], t: SurfaceType) -> tuple[int, DivClass]:
-    curves = negative_curves(t).all
+    kern = _kernel(t)
     d = DivClass(coeffs)
-    for _ in range(MAX_REDUCTION_STEPS):
-        if d.dot(-K) < 0:
+    measure = d.dot(kern.measure)
+    while True:
+        if d.dot(_ANTI_K) < 0 or measure < 0:
             return 0, d
-        for c in curves:
-            if d.dot(c) < 0:
-                d = d - c
-                break
-        else:
+        degs = [d.dot(c) for c in kern.curves]
+        mask = sum(1 << i for i, x in enumerate(degs) if x < 0)
+        if not mask:
             return max(chi_line(d), 0), d
-    raise ReductionDivergenceError(f"reduction-divergence at {coeffs} on {t.label}")
+        sup, num = kern.negative_part(degs, mask)
+        if sup is None:
+            return 0, d
+        for i, x in zip(sup.idx, num):
+            d = d - (-(-x // sup.det)) * kern.curves[i]
+        drop = measure - d.dot(kern.measure)
+        if drop <= 0:
+            raise ReductionDivergenceError(
+                f"Zariski round did not lower A.D at {coeffs} on {t.label}"
+            )
+        measure -= drop
 
 
 def reduce_to_nef(d: DivClass, t: SurfaceType) -> DivClass:
-    """Terminal class of the peeling loop (nef, or of negative -K-degree)."""
+    """The class at which the Zariski rounds on D stop.
+
+    For an effective D this is D minus the round-ups of the negative parts
+    removed: a nef class with the same h^0, reached by subtracting fixed
+    components of |D| only.  When h^0(D) = 0 it is the class at which a
+    round found D.(-K) < 0, D.A < 0 or a support that is not negative
+    definite; it need not be nef.
+    """
     return _h0(d.coeffs, t)[1]
 
 
@@ -214,10 +382,86 @@ def r1_chain_vanishing(p: ChainProblem, levels: int | None = None) -> ChainCerti
 
 # ---------------------------------------------------------------------------
 # Vectorized exhaustive sweep over a coefficient box, used by the
-# acceptance battery.  Same algorithm as h_all, run with int64 rows; the
-# caller can cross-check random rows against the scalar path.
+# acceptance battery: the Zariski rounds of _h0 run on int64 rows over the
+# same support table; the caller can cross-check random rows against the
+# scalar path.
 
 _SIGNS = np.array([1, -1, -1, -1, -1], dtype=np.int64)
+_KVEC = np.array(K.coeffs, dtype=np.int64)
+
+
+def _chi_rows(rows: np.ndarray) -> np.ndarray:
+    """chi = (D^2 - D.K)/2 + 1 of every row."""
+    num = (rows * (rows - _KVEC) * _SIGNS).sum(axis=1)
+    if (num % 2).any():
+        bad = rows[(num % 2).astype(bool)][0]
+        raise CohomologyConsistencyError(f"parity violation in chi at {tuple(bad)}")
+    return num // 2 + 1
+
+
+def _h0_rows(rows: np.ndarray, kern: _Kernel) -> np.ndarray:
+    """h^0 of every row of coefficients, by the rounds of _h0.
+
+    rows is overwritten with the class at which each row's rounds stop.
+    Only the open rows' indices and support masks are carried between
+    steps; degrees are recomputed per group, which keeps the peak memory
+    at a few copies of rows.
+    """
+    m = len(kern.curves)
+    cmat = np.array([c.coeffs for c in kern.curves], dtype=np.int64).reshape(m, 5)
+    curve_cols = (cmat * _SIGNS).T
+    gram = np.array(kern.gram, dtype=np.int64).reshape(m, m)
+    bits = np.left_shift(1, np.arange(m, dtype=np.int64))
+    measure_degs = np.array(kern.measure_degs, dtype=np.int64)
+
+    h0 = np.full(rows.shape[0], -1, dtype=np.int64)
+    measure = rows @ (np.array(kern.measure.coeffs, dtype=np.int64) * _SIGNS)
+    active = np.arange(rows.shape[0])
+    while active.size:
+        cur = rows[active]
+        bail = (cur @ (-_KVEC * _SIGNS) < 0) | (measure[active] < 0)
+        masks = np.zeros(active.size, dtype=np.int64)
+        for i in range(m):
+            masks |= (cur @ curve_cols[:, i] < 0) << i
+        nef = ~bail & (masks == 0)
+        h0[active[bail]] = 0
+        h0[active[nef]] = np.maximum(_chi_rows(cur[nef]), 0)
+        del cur
+        keep = ~bail & ~nef
+        idx, masks = active[keep], masks[keep]
+        finished = []
+        while idx.size:
+            order = np.argsort(masks, kind="stable")
+            idx, masks = idx[order], masks[order]
+            starts = np.flatnonzero(np.r_[True, masks[1:] != masks[:-1]])
+            grew = np.zeros(idx.size, dtype=bool)
+            for lo, hi in zip(starts, np.r_[starts[1:], idx.size]):
+                mask = int(masks[lo])
+                sup = kern.support(mask)
+                group = idx[lo:hi]
+                if sup is None:
+                    h0[group] = 0
+                    continue
+                degs = rows[group] @ curve_cols
+                num = -(degs[:, sup.idx_np] @ sup.adj_t)
+                grown = mask | ((sup.det * degs < num @ gram[sup.idx_np]) @ bits)
+                masks[lo:hi] = grown
+                stay = grown == mask
+                grew[lo:hi] = ~stay
+                if stay.any():
+                    ceil = -((-num[stay]) // sup.det)
+                    drop = ceil @ measure_degs[sup.idx_np]
+                    if (drop <= 0).any():
+                        raise ReductionDivergenceError(
+                            f"Zariski round did not lower A.D in sweep on {kern.label}"
+                        )
+                    done = group[stay]
+                    rows[done] -= ceil @ cmat[sup.idx_np]
+                    measure[done] -= drop
+                    finished.append(done)
+            idx, masks = idx[grew], masks[grew]
+        active = np.concatenate(finished) if finished else np.empty(0, dtype=np.int64)
+    return h0
 
 
 def sweep_box(
@@ -228,56 +472,13 @@ def sweep_box(
     return_arrays: bool = False,
 ) -> dict:
     """h_all on every class with |coefficients| <= bound, with consistency
-    asserts (h^1 >= 0, Euler characteristic, termination) built in."""
-    curves = negative_curves(t).all
-    cmat = np.array([c.coeffs for c in curves], dtype=np.int64)
+    checks (h^1 >= 0, parity of chi, the drop of A.D) built in."""
     grids = np.meshgrid(*[np.arange(-bound, bound + 1)] * 5, indexing="ij")
     box = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
     n = box.shape[0]
-    kvec = np.array(K.coeffs, dtype=np.int64)
-    rows = np.vstack([box, kvec - box])
-    total = rows.shape[0]
+    h0 = _h0_rows(np.vstack([box, _KVEC - box]), _kernel(t))
 
-    neg_k = (-kvec * _SIGNS).astype(np.int64)
-    curve_cols = (cmat * _SIGNS).T if len(curves) else np.zeros((5, 0), np.int64)
-
-    h0 = np.full(total, -1, dtype=np.int64)
-    active = np.arange(total)
-    work = rows.copy()
-    for _ in range(MAX_REDUCTION_STEPS):
-        if active.size == 0:
-            break
-        cur = work[active]
-        bail = cur @ neg_k < 0
-        if len(curves):
-            degs = cur @ curve_cols
-            negmask = degs < 0
-            has_neg = negmask.any(axis=1) & ~bail
-        else:
-            has_neg = np.zeros(active.size, dtype=bool)
-        nef = ~bail & ~has_neg
-        if bail.any():
-            h0[active[bail]] = 0
-        if nef.any():
-            nef_rows = cur[nef]
-            sq = (nef_rows * nef_rows * _SIGNS).sum(axis=1)
-            dk = (nef_rows * kvec * _SIGNS).sum(axis=1)
-            num = sq - dk
-            assert not (num % 2).any()
-            chi = num // 2 + 1
-            h0[active[nef]] = np.maximum(chi, 0)
-        if has_neg.any():
-            first = np.argmax(negmask[has_neg], axis=1)
-            work[active[has_neg]] -= cmat[first]
-        active = active[has_neg]
-    if active.size:
-        raise ReductionDivergenceError(
-            f"reduction-divergence in sweep on {t.label}: {active.size} rows"
-        )
-
-    sq = (box * box * _SIGNS).sum(axis=1)
-    dk = (box * kvec * _SIGNS).sum(axis=1)
-    chi = (sq - dk) // 2 + 1
+    chi = _chi_rows(box)
     h0_d = h0[:n]
     h2_d = h0[n:]
     h1_d = h0_d + h2_d - chi

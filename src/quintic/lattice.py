@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 __all__ = [
+    "BoxContainmentError",
     "DivClass",
     "H",
     "E",
@@ -42,8 +44,12 @@ __all__ = [
 # Enumeration box for negative classes.  Any class D with D^2 >= -2 and
 # |D.K| <= 2 has |a| <= 3 and |b_i| <= 3: Cauchy-Schwarz against -K on the
 # rank-one part and negative definiteness on K-perp bound the coefficients.
-# Results are asserted to lie strictly inside the box.
+# Results are checked to lie strictly inside the box.
 _BOX_BOUND = 3
+
+
+class BoxContainmentError(ArithmeticError):
+    """An enumerated class reaches the edge of the enumeration box."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,20 +163,28 @@ def _coefficient_box():
         yield DivClass(coeffs)
 
 
-def enumerate_roots() -> frozenset[DivClass]:
-    """All 20 roots: classes D with D^2 = -2 and D.K = 0."""
-    roots = frozenset(d for d in _coefficient_box() if is_root(d))
-    assert all(max(abs(c) for c in r.coeffs) < _BOX_BOUND for r in roots)
-    return roots
-
-
-def minus_one_classes() -> frozenset[DivClass]:
-    """The 10 classes with D^2 = D.K = -1: the e_i and the h - e_i - e_j."""
-    found = frozenset(
-        d for d in _coefficient_box() if d.square() == -1 and d.dot(K) == -1
-    )
-    assert all(max(abs(c) for c in d.coeffs) < _BOX_BOUND for d in found)
+def _inside_box(found: frozenset[DivClass]) -> frozenset[DivClass]:
+    for d in found:
+        if max(abs(c) for c in d.coeffs) >= _BOX_BOUND:
+            raise BoxContainmentError(
+                f"{d!r} reaches the edge of the enumeration box |coeff| <= {_BOX_BOUND}"
+            )
     return found
+
+
+@lru_cache(maxsize=None)
+def enumerate_roots() -> frozenset[DivClass]:
+    """All 20 roots: classes D with D^2 = -2 and D.K = 0 (computed once)."""
+    return _inside_box(frozenset(d for d in _coefficient_box() if is_root(d)))
+
+
+@lru_cache(maxsize=None)
+def minus_one_classes() -> frozenset[DivClass]:
+    """The 10 classes with D^2 = D.K = -1: the e_i and the h - e_i - e_j
+    (computed once)."""
+    return _inside_box(
+        frozenset(d for d in _coefficient_box() if d.square() == -1 and d.dot(K) == -1)
+    )
 
 
 def reflect(root: DivClass, d: DivClass) -> DivClass:

@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
 from . import __version__
 from .cohomology import (
     ChainProblem,
@@ -127,6 +129,21 @@ def suite_mutations(seed: int) -> dict:
     return details
 
 
+def _sweep_consistent(info: dict) -> bool:
+    """Riemann-Roch and h^1 >= 0 on every row of a sweep, and Serre duality
+    h^2(D) = h^0(K - D) wherever the mirror K - D lies in the box."""
+    arr, bound = info["arrays"], info["bound"]
+    mirror = np.array(K.coeffs) - arr["box"]
+    inside = (np.abs(mirror) <= bound).all(axis=1)
+    index = ((mirror + bound) * (2 * bound + 1) ** np.arange(4, -1, -1)).sum(axis=1)
+    return bool(
+        (arr["h0"] - arr["h1"] + arr["h2"] == arr["chi"]).all()
+        and (arr["h1"] >= 0).all()
+        and inside.any()
+        and (arr["h2"][inside] == arr["h0"][index[inside]]).all()
+    )
+
+
 def suite_cohomology(seed: int) -> dict:
     details: dict = {}
     types = catalog()
@@ -172,8 +189,8 @@ def suite_cohomology(seed: int) -> dict:
         and not r1_chain_vanishing(ChainProblem(2, (-1, -1), 1)).certified,
     )
     for t in types:
-        info = sweep_box(t, bound=4, spot_checks=20, seed=seed)
-        _check(details, f"{t.label}: |coeff|<=4 sweep consistent", True)
+        info = sweep_box(t, bound=4, spot_checks=20, seed=seed, return_arrays=True)
+        _check(details, f"{t.label}: |coeff|<=4 sweep consistent", _sweep_consistent(info))
         details[f"{t.label}: effective classes in box"] = info["effective"]
     return details
 

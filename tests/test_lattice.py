@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quintic import lattice
 from quintic.lattice import (
+    BoxContainmentError,
     E,
     H,
     K,
@@ -99,6 +101,23 @@ def test_minus_one_classes_match_explicit_list():
     assert len(found) == 10
     assert E[3] in found
     assert line_through(1, 2) in found
+
+
+def test_enumerations_are_computed_once():
+    assert enumerate_roots() is enumerate_roots()
+    assert minus_one_classes() is minus_one_classes()
+
+
+@pytest.mark.parametrize("enumerate", [enumerate_roots, minus_one_classes])
+def test_enumeration_box_too_small_raises(monkeypatch, enumerate):
+    # the box check is an always-on error, not an assert
+    monkeypatch.setattr(lattice, "_BOX_BOUND", 1)
+    enumerate.cache_clear()
+    try:
+        with pytest.raises(BoxContainmentError):
+            enumerate()
+    finally:
+        enumerate.cache_clear()
 
 
 def test_reflect_simple_root_transposes_exceptionals():
