@@ -13,7 +13,7 @@ import json
 import sys
 
 from .euler import KClass, euler_pair
-from .grassmannian import bott
+from .grassmannian import bott, kapranov_collection, lefschetz_objects, rhom_chi
 from .lattice import DivClass, is_root
 from .mutations import (
     ExcCollection,
@@ -22,7 +22,7 @@ from .mutations import (
     sodwdp_start_collection,
     sodwdp_target_collection,
 )
-from .surfaces import ChainStructureError, ade_type
+from .surfaces import ChainStructureError, ade_type, catalog, z_scheme
 from .suites import DEFAULT_SEED, SUITE_NAMES, run_report, run_suites
 
 EXIT_PASS = 0
@@ -72,9 +72,7 @@ def cmd_classify(args) -> int:
         ade = ade_type(curves)
     except ChainStructureError as exc:
         raise InputError(str(exc)) from exc
-    lengths = sorted([p + 1 for p in ade] + [1] * (5 - sum(p + 1 for p in ade)))
-    from .surfaces import catalog
-
+    lengths = list(z_scheme(ade))
     exact = [t.label for t in catalog() if t.minus_two_curves == frozenset(curves)]
     payload = {
         "ade": list(ade),
@@ -132,33 +130,36 @@ def cmd_bott(args) -> int:
 _COLLECTIONS = {
     "start7": sodwdp_start_collection,
     "target7": sodwdp_target_collection,
+    "kapranov10": kapranov_collection,
+    "lefschetz10": lambda: ExcCollection(lefschetz_objects(), rhom_chi),
 }
 
 
 def _collection_from_classes(raw: str) -> ExcCollection:
     try:
         data = json.loads(raw)
-        objects = tuple(
-            (entry.get("label", f"E{i}"), KClass.from_json(entry))
-            for i, entry in enumerate(data)
-        )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad class list: {exc}") from exc
-    return ExcCollection(objects, euler_pair)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed JSON: {exc}") from exc
+    if not isinstance(data, list) or not data:
+        raise InputError("expected a non-empty JSON list of {label, rank, c1, ch2}")
+    objects = []
+    for i, entry in enumerate(data):
+        try:
+            cls = KClass.from_json(entry)
+        except ValueError as exc:
+            raise InputError(f"bad class record {i}: {exc}") from exc
+        label = entry.get("label", f"E{i}")
+        if not isinstance(label, str):
+            raise InputError(f"bad class record {i}: label must be a string")
+        objects.append((label, cls))
+    return ExcCollection(tuple(objects), euler_pair)
 
 
 def cmd_gram(args) -> int:
     if args.classes is not None:
         collection = _collection_from_classes(args.classes)
-    elif args.collection in _COLLECTIONS:
-        collection = _COLLECTIONS[args.collection]()
     else:
-        from .grassmannian import kapranov_collection, lefschetz_objects, rhom_chi
-
-        if args.collection == "kapranov10":
-            collection = kapranov_collection()
-        else:
-            collection = ExcCollection(lefschetz_objects(), rhom_chi)
+        collection = _COLLECTIONS[args.collection]()
     matrix = gram_matrix(collection)
     unitriangular = is_unitriangular(collection)
     payload = {
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--collection",
         default="target7",
-        choices=("start7", "target7", "kapranov10", "lefschetz10"),
+        choices=tuple(_COLLECTIONS),
     )
     p.add_argument("--classes", help="JSON list of {label, rank, c1, ch2} records")
     p.set_defaults(func=cmd_gram)

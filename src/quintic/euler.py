@@ -15,10 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .lattice import E, H, K, ZERO, DivClass
 
 __all__ = [
+    "IntegralityError",
     "KClass",
     "HilbPoly",
     "line_bundle_class",
@@ -31,12 +33,13 @@ __all__ = [
     "twist",
     "hilbert_poly",
     "verify_chi_identities",
-    "poly_gt",
     "ChernSummary",
     "normal_bundle_cherns",
 ]
 
-_HALF = Fraction(1, 2)
+
+class IntegralityError(ArithmeticError):
+    """A quantity that is an integer on every class of an object is not."""
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,8 @@ class KClass:
     def int_vector(self) -> tuple[int, ...]:
         """(rank, c1 coefficients, 2*ch2) as a 7-tuple of integers."""
         doubled = 2 * self.ch2
-        assert doubled.denominator == 1
+        if doubled.denominator != 1:
+            raise IntegralityError(f"2*ch2 = {doubled} is not an integer")
         return (self.rank, *self.c1.coeffs, doubled.numerator)
 
     def to_json(self) -> dict:
@@ -91,8 +95,22 @@ class KClass:
 
     @classmethod
     def from_json(cls, data: dict) -> "KClass":
-        num, den = data["ch2"]
-        return cls(data["rank"], DivClass.from_json(data["c1"]), Fraction(num, den))
+        """Inverse of to_json; ValueError on any malformed record."""
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a {{rank, c1, ch2}} record, got {data!r}")
+        rank, ch2 = data.get("rank"), data.get("ch2")
+        if type(rank) is not int:
+            raise ValueError(f"rank must be an integer, got {rank!r}")
+        if not (
+            isinstance(ch2, (list, tuple))
+            and len(ch2) == 2
+            and all(type(x) is int for x in ch2)
+            and ch2[1] != 0
+        ):
+            raise ValueError(
+                f"ch2 must be [numerator, nonzero denominator], got {ch2!r}"
+            )
+        return cls(rank, DivClass.from_json(data.get("c1")), Fraction(*ch2))
 
 
 def line_bundle_class(d: DivClass) -> KClass:
@@ -109,11 +127,13 @@ def point_class() -> KClass:
     return KClass(0, ZERO, Fraction(1))
 
 
+@lru_cache(maxsize=None)
 def f_tilde_class() -> KClass:
     """Class of the rank-2 extension of O(h) by O(-K-h): (2, -K, 1/2)."""
     return line_bundle_class(-K - H) + line_bundle_class(H)
 
 
+@lru_cache(maxsize=None)
 def p_class() -> KClass:
     """Class of the rank-5 bundle O(h) + sum of O(e_i-K-h): (5, -3K, 5/2)."""
     cls = line_bundle_class(H)
@@ -126,7 +146,7 @@ def chi_line(d: DivClass) -> int:
     """Euler characteristic of O(D): (D^2 - D.K)/2 + 1."""
     num = d.square() - d.dot(K)
     if num % 2 != 0:
-        raise ArithmeticError(f"parity violation in chi({d!r})")
+        raise IntegralityError(f"parity violation in chi({d!r})")
     return num // 2 + 1
 
 
@@ -141,7 +161,8 @@ def euler_pair(x: KClass, y: KClass) -> int:
     deg2 = x.rank * y.ch2 + y.rank * x.ch2 - x.c1.dot(y.c1)
     deg1 = (x.rank * y.c1 - y.rank * x.c1).dot(K)
     total = deg2 - Fraction(deg1, 2) + x.rank * y.rank
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise IntegralityError(f"chi({x!r}, {y!r}) = {total} is not an integer")
     return total.numerator
 
 
@@ -169,22 +190,11 @@ class HilbPoly:
     def __call__(self, t) -> Fraction:
         return self.c2 * t * t + self.c1 * t + self.c0
 
-    def __sub__(self, other: "HilbPoly") -> "HilbPoly":
-        return HilbPoly(self.c2 - other.c2, self.c1 - other.c1, self.c0 - other.c0)
-
     def __mul__(self, n) -> "HilbPoly":
         n = Fraction(n)
         return HilbPoly(n * self.c2, n * self.c1, n * self.c0)
 
     __rmul__ = __mul__
-
-    def shift(self, a: int) -> "HilbPoly":
-        """The polynomial t -> p(t + a)."""
-        return HilbPoly(
-            self.c2,
-            2 * self.c2 * a + self.c1,
-            self.c2 * a * a + self.c1 * a + self.c0,
-        )
 
     def to_json(self) -> list[list[int]]:
         return [[c.numerator, c.denominator] for c in (self.c2, self.c1, self.c0)]
@@ -195,15 +205,6 @@ def hilbert_poly(c: KClass) -> HilbPoly:
     chi0 = euler_pair(structure_class(), c)
     lead = Fraction(5 * c.rank, 2)
     return HilbPoly(lead, lead - c.c1.dot(K), Fraction(chi0))
-
-
-def poly_gt(p: HilbPoly, q: HilbPoly) -> bool:
-    """True iff p(t) > q(t) for all large t (top-down coefficient order)."""
-    diff = p - q
-    for c in (diff.c2, diff.c1, diff.c0):
-        if c != 0:
-            return c > 0
-    return False
 
 
 def verify_chi_identities(g: KClass) -> bool:
@@ -251,7 +252,8 @@ class _HClass:
     __rmul__ = __mul__
 
     def integral(self) -> int:
-        assert self.pt.denominator == 1
+        if self.pt.denominator != 1:
+            raise IntegralityError(f"degree {self.pt} is not an integer")
         return self.pt.numerator
 
 

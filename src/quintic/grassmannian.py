@@ -23,6 +23,7 @@ from functools import lru_cache
 from typing import Sequence
 
 __all__ = [
+    "DimensionError",
     "weyl_dim",
     "bott",
     "BottResult",
@@ -52,6 +53,10 @@ __all__ = [
 ]
 
 
+class DimensionError(ArithmeticError):
+    """A dimension identity of GL(n) representations fails."""
+
+
 def weyl_dim(lam: Sequence[int], n: int) -> int:
     """Dimension of the irreducible GL(n) module of highest weight lam."""
     lam = tuple(lam)
@@ -64,7 +69,8 @@ def weyl_dim(lam: Sequence[int], n: int) -> int:
         for j in range(i + 1, n):
             num *= lam[i] - lam[j] + j - i
             den *= j - i
-    assert num % den == 0
+    if num % den:
+        raise DimensionError(f"Weyl product for {lam} is not divisible by {den}")
     return num // den
 
 
@@ -193,7 +199,8 @@ def lr_coefficients(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple:
         if c:
             out.append((nu, c))
     total = sum(c * weyl_dim(nu, rows) for nu, c in out)
-    assert total == weyl_dim(lam, rows) * weyl_dim(mu, rows)
+    if total != weyl_dim(lam, rows) * weyl_dim(mu, rows):
+        raise DimensionError(f"L^{lam} (x) L^{mu}: summands have dimension {total}")
     return tuple(out)
 
 
@@ -383,6 +390,15 @@ def _block_weight(block: Block) -> tuple[int, ...]:
     return block[0] + block[1]
 
 
+def _bott_terms(product: HomBundle):
+    """Yield (degree, signed dimension) for each block of product whose
+    cohomology does not vanish."""
+    for blk, mult in product.summands:
+        res = bott(_block_weight(blk), 5)
+        if res is not None:
+            yield res.degree, mult * res.dim
+
+
 def rhom(a: HomBundle, b: HomBundle) -> CohProfile | ChiOnly:
     """RHom(a, b) = cohomology of dual(a) (x) b.
 
@@ -395,11 +411,7 @@ def rhom(a: HomBundle, b: HomBundle) -> CohProfile | ChiOnly:
     the Euler characteristic.
     """
     product = tensor_decompose(dual(a), b)
-    contributions = []
-    for blk, mult in product.summands:
-        res = bott(_block_weight(blk), 5)
-        if res is not None:
-            contributions.append((res.degree, mult * res.dim))
+    contributions = list(_bott_terms(product))
     if not contributions:
         return CohProfile(())
     if product.is_effective():
@@ -418,13 +430,8 @@ def rhom(a: HomBundle, b: HomBundle) -> CohProfile | ChiOnly:
 
 def rhom_chi(a: HomBundle, b: HomBundle) -> int:
     """Euler pairing chi(a, b): alternating Bott sum, cancellation-free."""
-    product = tensor_decompose(dual(a), b)
-    total = 0
-    for blk, mult in product.summands:
-        res = bott(_block_weight(blk), 5)
-        if res is not None:
-            total += (-1) ** res.degree * mult * res.dim
-    return total
+    terms = _bott_terms(tensor_decompose(dual(a), b))
+    return sum((-1) ** deg * val for deg, val in terms)
 
 
 def lefschetz_objects() -> tuple[tuple[str, HomBundle], ...]:

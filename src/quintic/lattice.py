@@ -25,18 +25,14 @@ __all__ = [
     "E",
     "ZERO",
     "K",
-    "exceptional",
     "line_through",
     "delta",
-    "canonical_class",
-    "intersect",
     "simple_roots",
     "enumerate_roots",
     "is_root",
     "reflect",
     "weyl_orbit",
     "is_weyl_stable",
-    "WeylElement",
     "weyl_group_elements",
     "minus_one_classes",
 ]
@@ -88,9 +84,12 @@ class DivClass:
         return list(self.coeffs)
 
     @classmethod
-    def from_json(cls, data: Iterable[int]) -> "DivClass":
-        data = list(data)
-        if len(data) != 5 or not all(isinstance(x, int) for x in data):
+    def from_json(cls, data: list[int]) -> "DivClass":
+        if not (
+            isinstance(data, (list, tuple))
+            and len(data) == 5
+            and all(type(x) is int for x in data)
+        ):
             raise ValueError(f"expected 5 integers, got {data!r}")
         return cls(tuple(data))
 
@@ -105,16 +104,6 @@ ZERO = DivClass((0, 0, 0, 0, 0))
 E = {i: DivClass(tuple(-1 if j == i else 0 for j in range(5))) for i in (1, 2, 3, 4)}
 
 K = DivClass((-3, -1, -1, -1, -1))
-
-
-def canonical_class() -> DivClass:
-    """The canonical class -3h + e1 + e2 + e3 + e4."""
-    return K
-
-
-def exceptional(i: int) -> DivClass:
-    """The class e_i of the exceptional divisor over the i-th point."""
-    return E[i]
 
 
 def line_through(*points: int) -> DivClass:
@@ -141,11 +130,6 @@ def delta(*indices: int) -> DivClass:
         i, j, l = indices
         return H - E[i] - E[j] - E[l]
     raise ValueError("delta takes two or three point indices")
-
-
-def intersect(d1: DivClass, d2: DivClass) -> int:
-    """Intersection number of two divisor classes."""
-    return d1.dot(d2)
 
 
 def is_root(d: DivClass) -> bool:
@@ -187,6 +171,11 @@ def minus_one_classes() -> frozenset[DivClass]:
     )
 
 
+def _reflect(d: DivClass, root: DivClass) -> DivClass:
+    """reflect without the root check, for the simple roots."""
+    return d + d.dot(root) * root
+
+
 def reflect(root: DivClass, d: DivClass) -> DivClass:
     """Reflection of d in the hyperplane orthogonal to a (-2)-root.
 
@@ -195,73 +184,43 @@ def reflect(root: DivClass, d: DivClass) -> DivClass:
     """
     if not is_root(root):
         raise ValueError(f"{root!r} is not a root")
-    return d + d.dot(root) * root
+    return _reflect(d, root)
+
+
+def _closure(seed: Iterable, step) -> frozenset:
+    """Smallest set containing seed and closed under x -> step(x, r) for
+    each simple root r."""
+    gens = simple_roots()
+    seen = set(seed)
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        for r in gens:
+            image = step(x, r)
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return frozenset(seen)
 
 
 def weyl_orbit(seed: Iterable[DivClass]) -> frozenset[DivClass]:
     """Closure of a set of classes under the four simple reflections."""
-    gens = simple_roots()
-    orbit = set(seed)
-    frontier = list(orbit)
-    while frontier:
-        d = frontier.pop()
-        for r in gens:
-            image = d + d.dot(r) * r
-            if image not in orbit:
-                orbit.add(image)
-                frontier.append(image)
-    return frozenset(orbit)
+    return _closure(seed, _reflect)
 
 
 def is_weyl_stable(classes: Iterable[DivClass]) -> bool:
     """True iff every simple reflection permutes the given set of classes."""
     s = frozenset(classes)
-    for r in simple_roots():
-        if frozenset(d + d.dot(r) * r for d in s) != s:
-            return False
-    return True
+    return all(frozenset(_reflect(d, r) for d in s) == s for r in simple_roots())
 
 
-_BASIS = (H, E[1], E[2], E[3], E[4])
+def weyl_group_elements() -> frozenset[tuple[DivClass, ...]]:
+    """All distinct Weyl actions on Pic, each given by its images of the
+    basis h, e1, ..., e4.
 
-
-@dataclass(frozen=True, slots=True)
-class WeylElement:
-    """Weyl group element as a word in simple-root indices (1..4)."""
-
-    word: tuple[int, ...] = ()
-
-    def apply(self, d: DivClass) -> DivClass:
-        gens = simple_roots()
-        for i in reversed(self.word):
-            r = gens[i - 1]
-            d = d + d.dot(r) * r
-        return d
-
-    def action_key(self) -> tuple:
-        """Images of the basis classes; equal keys mean equal actions."""
-        return tuple(self.apply(b).coeffs for b in _BASIS)
-
-    def then(self, other: "WeylElement") -> "WeylElement":
-        """Composite acting as self after other."""
-        return WeylElement(self.word + other.word)
-
-
-def weyl_group_elements() -> dict[tuple, WeylElement]:
-    """All distinct Weyl actions on Pic, keyed by action on the basis.
-
-    Breadth-first closure of the identity under the simple reflections;
-    the result has 120 elements (the symmetric group S5).
+    Closure of the identity under composition with the simple reflections:
+    a step reflects the five images, so no word is ever replayed.  The
+    result has 120 elements (the symmetric group S5).
     """
-    identity = WeylElement()
-    seen = {identity.action_key(): identity}
-    frontier = [identity]
-    while frontier:
-        w = frontier.pop()
-        for i in (1, 2, 3, 4):
-            nxt = WeylElement((i,) + w.word)
-            key = nxt.action_key()
-            if key not in seen:
-                seen[key] = nxt
-                frontier.append(nxt)
-    return seen
+    basis = (H, E[1], E[2], E[3], E[4])
+    return _closure([basis], lambda w, r: tuple(_reflect(d, r) for d in w))

@@ -34,9 +34,6 @@ __all__ = [
     "same_up_to_sign",
     "SODWDP_DERIVATION",
     "GR25_LEFSCHETZ",
-    "BUNDLED_SCRIPTS",
-    "bundled_script",
-    "script_from_json",
     "sodwdp_start_collection",
     "sodwdp_target_collection",
     "run_sodwdp_derivation",
@@ -235,42 +232,6 @@ GR25_LEFSCHETZ: tuple[dict, ...] = (
     {"kind": "transpose-to-end", "index": 5},
 )
 
-BUNDLED_SCRIPTS: dict[str, tuple[dict, ...]] = {
-    "sodwdp-derivation": SODWDP_DERIVATION,
-    "gr25-lefschetz": GR25_LEFSCHETZ,
-}
-
-_STEP_KINDS = ("left", "right", "transpose-to-end")
-
-
-def bundled_script(name: str) -> tuple[dict, ...]:
-    try:
-        return BUNDLED_SCRIPTS[name]
-    except KeyError:
-        raise MutationError(f"unknown bundled script {name!r}") from None
-
-
-def script_from_json(text: str) -> tuple[dict, ...]:
-    """Parse a mutation script from a JSON list of {kind, index} records."""
-    import json
-
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MutationError(f"malformed script: {exc}") from exc
-    if not isinstance(data, list):
-        raise MutationError("script must be a JSON list of steps")
-    steps = []
-    for step in data:
-        if (
-            not isinstance(step, dict)
-            or step.get("kind") not in _STEP_KINDS
-            or not isinstance(step.get("index"), int)
-        ):
-            raise MutationError(f"bad step record: {step!r}")
-        steps.append({"kind": step["kind"], "index": step["index"]})
-    return tuple(steps)
-
 
 def _line(label: str, d: DivClass) -> tuple[str, KClass]:
     return (label, line_bundle_class(d))
@@ -293,11 +254,24 @@ def sodwdp_target_collection() -> ExcCollection:
 
 
 def run_sodwdp_derivation() -> dict:
-    """Replay the bundled script and compare against the target, slot by
-    slot and up to sign; raises MutationError on any mismatch."""
+    """Replay SODWDP_DERIVATION and compare against the target, slot by
+    slot and up to sign; raises MutationError on any mismatch.
+
+    Every atomic mutation must keep the Gram matrix unitriangular (else
+    MutationError) and is checked to keep the integer span of the classes;
+    ``preserves_span`` reports the latter.
+    """
     start = sodwdp_start_collection()
     assert_unitriangular(start)
-    final = replay(start, SODWDP_DERIVATION, check=assert_unitriangular)
+    signature = span_signature(start, KClass.int_vector)
+    preserves_span = True
+
+    def check(c: ExcCollection) -> None:
+        nonlocal preserves_span
+        assert_unitriangular(c)
+        preserves_span &= span_signature(c, KClass.int_vector) == signature
+
+    final = replay(start, SODWDP_DERIVATION, check=check)
     target = sodwdp_target_collection()
     mismatches = [
         {"slot": i, "got": x.to_json(), "expected": y.to_json()}
@@ -310,6 +284,7 @@ def run_sodwdp_derivation() -> dict:
         "steps": len(SODWDP_DERIVATION),
         "final_labels": final.labels(),
         "matches_target": True,
+        "preserves_span": preserves_span,
     }
 
 

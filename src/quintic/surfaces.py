@@ -9,7 +9,6 @@ the nontrivial piece of the derived category.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -17,7 +16,6 @@ from .lattice import E, H, K, DivClass, delta, is_root
 
 __all__ = [
     "SurfaceType",
-    "ZScheme",
     "ChainStructureError",
     "InconsistentTypeError",
     "catalog",
@@ -49,20 +47,6 @@ class SurfaceType:
             "curves": sorted(c.to_json() for c in self.minus_two_curves),
             "ade": list(self.ade),
         }
-
-
-@dataclass(frozen=True)
-class ZScheme:
-    """Length-5 scheme recorded by its multiset of local lengths."""
-
-    lengths: tuple[int, ...]
-
-    def __post_init__(self):
-        if sum(self.lengths) != 5:
-            raise ValueError("total length must be 5")
-
-    def to_json(self) -> list[int]:
-        return list(self.lengths)
 
 
 def _surface(label: str, curves: Iterable[DivClass]) -> SurfaceType:
@@ -150,11 +134,12 @@ def ade_type(curves: Iterable[DivClass]) -> tuple[int, ...]:
     return tuple(sorted(lengths))
 
 
-def z_scheme(t: SurfaceType) -> ZScheme:
-    """Local lengths of the degree-5 scheme: p+1 per A_p chain, padded by 1s."""
-    parts = [p + 1 for p in t.ade]
+def z_scheme(ade: tuple[int, ...]) -> tuple[int, ...]:
+    """Sorted local lengths of the degree-5 scheme of a surface whose
+    (-2)-curves form the A_p chains in ade: p+1 per chain, padded by 1s."""
+    parts = [p + 1 for p in ade]
     parts += [1] * (5 - sum(parts))
-    return ZScheme(tuple(sorted(parts)))
+    return tuple(sorted(parts))
 
 
 def a3_block_classes() -> tuple[DivClass, ...]:
@@ -167,8 +152,8 @@ def a3_chains(t: SurfaceType) -> tuple[tuple[DivClass, ...], ...]:
 
     Draws an edge D -> D' whenever D' - D is an effective (-2)-class of t
     and splits the resulting graph into maximal chains, each started at its
-    unique source.  The multiset of chain lengths reproduces the local
-    lengths of z_scheme(t).
+    unique source.  The sorted chain lengths must reproduce z_scheme(t.ade);
+    InconsistentTypeError otherwise.
     """
     nodes = a3_block_classes()
     nxt: dict[DivClass, DivClass] = {}
@@ -194,5 +179,9 @@ def a3_chains(t: SurfaceType) -> tuple[tuple[DivClass, ...], ...]:
         chains.append(tuple(chain))
     if sum(len(c) for c in chains) != len(nodes):
         raise InconsistentTypeError(f"{t.label}: difference graph has a cycle")
-    assert Counter(len(c) for c in chains) == Counter(z_scheme(t).lengths)
+    lengths = tuple(sorted(len(c) for c in chains))
+    if lengths != z_scheme(t.ade):
+        raise InconsistentTypeError(
+            f"{t.label}: chain lengths {lengths} differ from the z-scheme"
+        )
     return tuple(sorted(chains, key=lambda c: (len(c), c[0].coeffs)))

@@ -86,7 +86,7 @@ def test_criterion_02_catalog_consistency():
     assert len(types) == 12
     for t in types:
         assert t.ade == expected_ade[t.label]
-        lengths = z_scheme(t).lengths
+        lengths = z_scheme(t.ade)
         assert sum(lengths) == 5
         assert sorted(len(c) for c in a3_chains(t)) == sorted(lengths)
     report(2, "all 12 types match the table; chain lengths realize z-schemes")

@@ -145,6 +145,24 @@ def test_gram_bad_classes_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "[[true,1,0,1,1]]"],
+        ["gram", "--classes", '[{"rank":1,"c1":[0,0,0,0,0],"ch2":[1,0]}]'],
+        ["gram", "--classes", "[1]"],
+        ["gram", "--classes", "{}"],
+        ["gram", "--classes", '[{"label":5,"rank":1,"c1":[0,0,0,0,0],"ch2":[0,1]}]'],
+    ],
+    ids=["bool-coefficient", "zero-denominator", "non-record", "not-a-list", "label"],
+)
+def test_malformed_input_exits_2_with_message(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_report_runs_everything(capsys):
     code, out, _ = run(capsys, "report")
     assert code == 0

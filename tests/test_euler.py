@@ -16,7 +16,6 @@ from quintic.euler import (
     normal_bundle_cherns,
     p_class,
     point_class,
-    poly_gt,
     structure_class,
     twist,
     verify_chi_identities,
@@ -63,6 +62,27 @@ def test_kclass_rejects_wrong_parity():
         KClass(0, ZERO, Fraction(1, 2))
 
 
+def test_kclass_json_round_trip():
+    f = f_tilde_class()
+    assert KClass.from_json(f.to_json()) == f
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        1,
+        {"rank": True, "c1": [0, 0, 0, 0, 0], "ch2": [0, 1]},
+        {"rank": 1, "c1": [0, 0, 0, 0, 0], "ch2": [1, 0]},
+        {"rank": 1, "c1": [0, 0, 0, 0, 0], "ch2": [1]},
+        {"rank": 1, "c1": [0, 0, 0, 0, 0], "ch2": [1.0, 2]},
+        {"rank": 1, "ch2": [0, 1]},
+    ],
+)
+def test_kclass_from_json_rejects_malformed_records(record):
+    with pytest.raises(ValueError):
+        KClass.from_json(record)
+
+
 def test_line_bundle_and_point_classes():
     assert line_bundle_class(H) == KClass(1, H, Fraction(1, 2))
     assert point_class() == KClass(0, ZERO, Fraction(1))
@@ -73,6 +93,8 @@ def test_line_bundle_and_point_classes():
 
 
 def test_f_tilde_and_p_classes():
+    assert f_tilde_class() is f_tilde_class()
+    assert p_class() is p_class()
     f = f_tilde_class()
     assert (f.rank, f.c1, f.ch2) == (2, -K, Fraction(1, 2))
     p = p_class()
@@ -156,16 +178,6 @@ def test_chi_identities_on_seeded_random_classes():
             Fraction(c1.square(), 2) + rng.randint(-50, 50),
         )
         assert verify_chi_identities(g)
-
-
-def test_poly_gt():
-    assert poly_gt(H3, Fraction(1, 2) * H2)
-    assert poly_gt(Fraction(1, 2) * H2, H3.shift(-1))
-    h_o = hilbert_poly(structure_class())
-    assert poly_gt(Fraction(1, 2) * H2, h_o)
-    assert poly_gt(h_o, (Fraction(1, 2) * H2).shift(-1))
-    assert not poly_gt(H2, H2)
-    assert not poly_gt(Fraction(1, 2) * H2, H3)
 
 
 def test_hilb_poly_serialization():

@@ -1,0 +1,49 @@
+"""Checks on the package source: no assert statements, and every name the
+benchmark tracer in perfbench/spans.py looks up still exists."""
+
+import ast
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "quintic").glob("*.py"))
+
+
+def test_package_sources_found():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "cli.py", "lattice.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O strips assert statements, so checks must raise instead
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name}: assert statements at lines {lines}"
+
+
+def _spans_module() -> types.ModuleType:
+    # executed from its source so that nothing is written under perfbench/
+    path = ROOT / "perfbench" / "spans.py"
+    module = types.ModuleType("perfbench_spans")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
+    return module
+
+
+def test_benchmark_trace_targets_resolve():
+    spans = _spans_module()
+    for module_name, attr in [*spans.SPAN_TARGETS, *spans.COUNT_TARGETS]:
+        target = getattr(importlib.import_module(module_name), attr, None)
+        assert callable(target), f"{module_name}.{attr}"
+    for module_name, attr in spans.CACHES.values():
+        target = getattr(importlib.import_module(module_name), attr)
+        assert callable(getattr(target, "cache_info", None)), f"{module_name}.{attr}"
+
+
+def test_benchmark_suite_names():
+    from quintic import suites
+
+    names = ("lattice", "catalog", "mutations", "cohomology", "grassmannian", "chern")
+    assert tuple(suites._SUITES) == names == suites.SUITE_NAMES

@@ -12,11 +12,8 @@ from quintic.lattice import (
     K,
     ZERO,
     DivClass,
-    canonical_class,
     delta,
     enumerate_roots,
-    exceptional,
-    intersect,
     is_root,
     is_weyl_stable,
     line_through,
@@ -52,24 +49,22 @@ def explicit_minus_one():
 
 
 def test_intersection_form_on_basis():
-    assert intersect(H, H) == 1
+    assert H.dot(H) == 1
     for i in (1, 2, 3, 4):
-        assert intersect(E[i], E[i]) == -1
-        assert intersect(H, E[i]) == 0
-    assert intersect(E[1], E[2]) == 0
+        assert E[i].dot(E[i]) == -1
+        assert H.dot(E[i]) == 0
+    assert E[1].dot(E[2]) == 0
 
 
 def test_canonical_class_values():
-    assert canonical_class() == K
-    assert intersect(K, K) == 5
-    assert intersect(-K, -K) == 5
-    assert intersect(K, H) == -3
+    assert K.dot(K) == 5
+    assert (-K).dot(-K) == 5
+    assert K.dot(H) == -3
     for i in (1, 2, 3, 4):
-        assert intersect(K, E[i]) == -1
+        assert K.dot(E[i]) == -1
 
 
 def test_constructors():
-    assert exceptional(2) == E[2]
     assert line_through() == H
     assert line_through(1) == H - E[1]
     assert line_through(1, 2) == H - E[1] - E[2]
@@ -83,6 +78,11 @@ def test_json_round_trip():
     assert DivClass.from_json(d.to_json()) == d
     with pytest.raises(ValueError):
         DivClass.from_json([1, 2, 3])
+    # JSON true is not the integer 1
+    with pytest.raises(ValueError):
+        DivClass.from_json([True, 1, 0, 1, 1])
+    with pytest.raises(ValueError):
+        DivClass.from_json(None)
 
 
 def test_enumerate_roots_matches_explicit_list():
@@ -156,18 +156,18 @@ def test_reflect_rejects_non_root():
 
 @given(div_classes, div_classes)
 def test_intersection_symmetric(d1, d2):
-    assert intersect(d1, d2) == intersect(d2, d1)
+    assert d1.dot(d2) == d2.dot(d1)
 
 
 @given(div_classes, div_classes, div_classes, st.integers(-4, 4))
 def test_intersection_bilinear(d1, d2, d3, n):
-    assert intersect(d1 + n * d2, d3) == intersect(d1, d3) + n * intersect(d2, d3)
+    assert (d1 + n * d2).dot(d3) == d1.dot(d3) + n * d2.dot(d3)
 
 
 @settings(max_examples=60)
 @given(st.sampled_from(sorted(enumerate_roots(), key=lambda d: d.coeffs)), div_classes, div_classes)
 def test_reflection_preserves_form(r, d1, d2):
-    assert intersect(reflect(r, d1), reflect(r, d2)) == intersect(d1, d2)
+    assert reflect(r, d1).dot(reflect(r, d2)) == d1.dot(d2)
 
 
 @settings(max_examples=60)
@@ -187,6 +187,18 @@ def test_weyl_orbit_of_each_simple_root():
 
 def test_weyl_group_has_order_120():
     assert len(weyl_group_elements()) == 120
+
+
+def test_weyl_group_elements_are_isometries_fixing_K():
+    # each element is its tuple of images of the basis h, e1..e4
+    basis = (H, E[1], E[2], E[3], E[4])
+    group = weyl_group_elements()
+    assert basis in group
+    for images in group:
+        for x, fx in zip(basis, images):
+            assert [fx.dot(fy) for fy in images] == [x.dot(y) for y in basis]
+        image_of_k = -3 * images[0] + images[1] + images[2] + images[3] + images[4]
+        assert image_of_k == K
 
 
 def test_weyl_stability_of_pushforward_generators():

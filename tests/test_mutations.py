@@ -131,6 +131,7 @@ def test_script_prefix_moves_first_bundle_to_end():
 def test_full_derivation_reaches_target():
     report = run_sodwdp_derivation()
     assert report["matches_target"] is True
+    assert report["preserves_span"] is True
 
 
 def test_derivation_keeps_unitriangular_and_span():
@@ -179,33 +180,6 @@ def test_gr25_script_shape():
     kinds = [step["kind"] for step in GR25_LEFSCHETZ]
     assert kinds.count("transpose-to-end") == 2
     assert kinds.count("right") == 5
-
-
-def test_bundled_script_registry():
-    from quintic.mutations import BUNDLED_SCRIPTS, bundled_script
-
-    assert bundled_script("sodwdp-derivation") == SODWDP_DERIVATION
-    assert bundled_script("gr25-lefschetz") == GR25_LEFSCHETZ
-    assert set(BUNDLED_SCRIPTS) == {"sodwdp-derivation", "gr25-lefschetz"}
-    with pytest.raises(MutationError):
-        bundled_script("nonsense")
-
-
-def test_script_round_trips_through_json():
-    import json
-
-    from quintic.mutations import script_from_json
-
-    text = json.dumps(list(SODWDP_DERIVATION))
-    assert script_from_json(text) == SODWDP_DERIVATION
-    c = sodwdp_start_collection()
-    via_json = replay(c, script_from_json(text))
-    direct = replay(c, SODWDP_DERIVATION)
-    assert via_json.classes() == direct.classes()
-    with pytest.raises(MutationError):
-        script_from_json("[{\"kind\": \"sideways\", \"index\": 0}]")
-    with pytest.raises(MutationError):
-        script_from_json("not json")
 
 
 def test_intermediate_seven_object_collection_unitriangular():

@@ -5,6 +5,8 @@ import pytest
 from quintic.lattice import E, H, K, delta, enumerate_roots
 from quintic.surfaces import (
     ChainStructureError,
+    InconsistentTypeError,
+    SurfaceType,
     a3_block_classes,
     a3_chains,
     ade_type,
@@ -95,10 +97,10 @@ def test_ade_type_rejects_cycle():
 
 def test_z_scheme_lengths():
     for t in catalog():
-        assert z_scheme(t).lengths == Z_LENGTHS[t.label]
-    assert z_scheme(surface_type("I.1")).lengths == (1, 1, 1, 1, 1)
-    assert z_scheme(surface_type("V.2")).lengths == (5,)
-    assert z_scheme(surface_type("III.2")).lengths == (2, 3)
+        assert z_scheme(t.ade) == Z_LENGTHS[t.label]
+    assert z_scheme(surface_type("I.1").ade) == (1, 1, 1, 1, 1)
+    assert z_scheme(surface_type("V.2").ade) == (5,)
+    assert z_scheme(surface_type("III.2").ade) == (2, 3)
 
 
 def test_a3_block_classes():
@@ -139,10 +141,17 @@ def test_a3_chains_type_V2_is_single_chain():
     )
 
 
+def test_a3_chains_rejects_type_whose_chains_miss_the_z_scheme():
+    # no curves gives five length-1 chains, but ade (1,) asks for 1+1+1+2
+    t = SurfaceType("bad", frozenset(), (1,))
+    with pytest.raises(InconsistentTypeError):
+        a3_chains(t)
+
+
 def test_a3_chain_lengths_match_z_scheme_everywhere():
     for t in catalog():
         chains = a3_chains(t)
-        assert Counter(len(c) for c in chains) == Counter(z_scheme(t).lengths)
+        assert Counter(len(c) for c in chains) == Counter(z_scheme(t.ade))
         assert sum(len(c) for c in chains) == 5
 
 
