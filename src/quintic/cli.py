@@ -3,13 +3,15 @@
 Subcommands: classify, verify, bott, gram, report.  Divisor classes enter
 and leave as 5-integer arrays [a, b1, b2, b3, b4] encoding a*h - sum b_i e_i.
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage or input
-error.
+error, 141 (128 + SIGPIPE) when the reader closed standard output before
+all of it was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .euler import KClass, euler_pair
@@ -28,6 +30,7 @@ from .suites import DEFAULT_SEED, SUITE_NAMES, run_report, run_suites
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_PIPE = 141
 
 
 class InputError(Exception):
@@ -41,11 +44,17 @@ def _emit(payload: dict, as_json: bool, human: str) -> None:
         print(human)
 
 
-def _parse_curves(raw: str) -> list[DivClass]:
+def _load_json(raw: str):
     try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        return json.loads(raw)
+    # ValueError covers JSONDecodeError and integers past the digit limit;
+    # deep nesting raises RecursionError
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"malformed JSON: {exc}") from exc
+
+
+def _parse_curves(raw: str) -> list[DivClass]:
+    data = _load_json(raw)
     if not isinstance(data, list):
         raise InputError("expected a JSON list of 5-integer arrays")
     curves = []
@@ -136,10 +145,7 @@ _COLLECTIONS = {
 
 
 def _collection_from_classes(raw: str) -> ExcCollection:
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON: {exc}") from exc
+    data = _load_json(raw)
     if not isinstance(data, list) or not data:
         raise InputError("expected a non-empty JSON list of {label, rank, c1, ch2}")
     objects = []
@@ -230,12 +236,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = parser.parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader raises here, not at exit
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the recipe of the signal module's docs: send what is left to
+        # devnull, so that the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -62,15 +62,39 @@ Support table.  Each type has one table keyed by the bitmask of S over
 negative_curves(t).all.  An entry is None (S not negative definite) or
 the indices of S with the adjugate and the determinant of -M_S, so that
 det * N = adj * (-b), b = (D.C) on S, is integral and ceil(N) is a floor
-division.  Entries are filled on first use.  The scalar h_all and the
-batch sweep_box run the same rounds over the same table; the batch groups
-its open rows by support mask at every growth step.
+division.  Entries are filled on first use, by Bareiss's fraction-free
+elimination.  The scalar h_all and the batch sweep_box run the same rounds
+over the same table; the batch groups its open rows by support mask at
+every growth step.
+
+Float64 carrier.  The batch form keeps its rows in float64 and runs every
+product there, used only to carry integers: a sum of integer products is
+computed exactly, in whatever order BLAS adds, when the absolute values of
+its terms add up to less than 2^53.  Let X bound the absolute coefficients
+of the open rows at the start of a round; each round checks
+X <= FLOAT_EXACT_LIMIT = 2^25 and raises FloatRangeError otherwise.  Let m
+be the number of curves, r the number of (-2)-curves, c the largest
+absolute curve coefficient and g the largest |C.C'|.  -M_S is positive
+definite with diagonal entries 2 and 1, so by Hadamard's inequality its
+determinant and its principal minors are at most 2^r; adj(-M_S) is
+positive definite too, so every |adj_ij| is at most 2^r.  A round on S
+computes, per row, det * N = -row @ neg_n, det * (D - N).C = row @ grow,
+-ceil(N) as a floor division and its change to the row and to A.D.  With
+p = 5 c m 2^r the terms add up to at most X * F, where
+
+    F = max(7, |A|_1, 5 c 2^r (1 + g m^2), 1 + m p max(c, A.C)),
+
+the numerator D^2 - D.K of the Euler characteristic adds up to at most
+5 X (X + 3), and the products that pack sign tests into support masks
+stay below 2^(m + 2).  Each kernel checks F * 2^25 < 2^53 (F is at most
+14401 on the twelve types, whose tables have det <= 6, |adj| <= 6,
+g <= 2 and c = 1), and 5 * 2^25 * (2^25 + 3) < 2^53.  So every value is
+an exact integer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -83,6 +107,8 @@ __all__ = [
     "NegativeCurveSet",
     "ReductionDivergenceError",
     "CohomologyConsistencyError",
+    "FloatRangeError",
+    "FLOAT_EXACT_LIMIT",
     "CannotConcludeError",
     "negative_curves",
     "reduce_to_nef",
@@ -94,6 +120,19 @@ __all__ = [
     "r1_chain_vanishing",
     "sweep_box",
 ]
+
+
+# the bound on the coefficients of an open batch row that keeps the
+# float64 arithmetic of _h0_rows exact (module docstring)
+FLOAT_EXACT_LIMIT = 2**25
+
+_ANTI_K = -K
+_SIGNS = np.array([1, -1, -1, -1, -1], dtype=np.int64)
+_KVEC = np.array(K.coeffs, dtype=np.float64)
+
+
+class FloatRangeError(ArithmeticError):
+    """A batch row exceeds FLOAT_EXACT_LIMIT, past which float64 may round."""
 
 
 class ReductionDivergenceError(RuntimeError):
@@ -143,45 +182,55 @@ def negative_curves(t: SurfaceType) -> NegativeCurveSet:
 
 
 class _Support:
-    """A negative definite support S: its curve indices, adj(-M_S), det(-M_S)."""
+    """A negative definite support S: its curve indices, adj(-M_S), det(-M_S),
+    and the two float64 matrices of a batch round on S (module docstring)."""
 
-    __slots__ = ("idx", "adj", "det", "idx_np", "adj_t")
+    __slots__ = ("idx", "adj", "det", "solve", "step")
 
-    def __init__(self, idx: tuple[int, ...], adj: tuple[tuple[int, ...], ...], det: int):
+    def __init__(self, kern: "_Kernel", idx: tuple[int, ...], adj, det: int):
         self.idx = idx
         self.adj = adj
         self.det = det
-        self.idx_np = np.array(idx, dtype=np.int64)
-        self.adj_t = np.array(adj, dtype=np.int64).reshape(len(idx), len(idx)).T
+        sel = list(idx)
+        # row @ neg_n = -det * N and row @ grow = det * (D - N).C on every curve
+        neg_n = kern.curve_cols[:, sel] @ np.array(adj, dtype=np.int64).T
+        grow = det * kern.curve_cols + neg_n @ kern.gram_np[sel]
+        self.solve = np.hstack([neg_n, grow]).astype(np.float64)
+        # -ceil(N) @ step = (the change of the row, minus the drop of A.D)
+        step = np.column_stack([kern.cmat[sel], kern.measure_np[sel]])
+        self.step = step.astype(np.float64)
 
 
-def _solve_support(gram, idx: tuple[int, ...]) -> _Support | None:
-    """Table entry for the curves idx: None unless -M_S is positive definite.
+def _solve_support(
+    gram, idx: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], ...], int] | None:
+    """(adj(-M_S), det(-M_S)) for the curves idx, or None unless -M_S is
+    positive definite.
 
-    Gauss-Jordan elimination without row exchanges over the rationals; by
-    Sylvester's criterion -M_S is positive definite iff every pivot is
-    positive, and then det is the pivot product and adj = det * inverse.
+    Bareiss's fraction-free Gauss-Jordan elimination (Math. Comp. 22, 1968)
+    on [-M_S | I] without row exchanges: step k replaces every other row x
+    by (p_k x - x_k r_k) / p_{k-1}, r_k the pivot row, and every division
+    is exact.  The pivot p_k of step k is the k-th leading principal minor,
+    so by Sylvester's criterion -M_S is positive definite iff every pivot is
+    positive; the elimination then ends at [det I | adj].
     """
     n = len(idx)
     rows = [
-        [Fraction(-gram[i][j]) for j in idx] + [Fraction(int(r == c)) for c in range(n)]
+        [-gram[i][j] for j in idx] + [int(r == c) for c in range(n)]
         for r, i in enumerate(idx)
     ]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = rows[col][col]
+    prev = 1
+    for k in range(n):
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
         if pivot <= 0:
             return None
-        det *= pivot
-        rows[col] = [x / pivot for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    adj = tuple(tuple(det * x for x in row[n:]) for row in rows)
-    if det.denominator != 1 or any(x.denominator != 1 for row in adj for x in row):
-        raise CohomologyConsistencyError(f"non-integral adjugate for support {idx}")
-    return _Support(idx, tuple(tuple(int(x) for x in row) for row in adj), int(det))
+        for r, row in enumerate(rows):
+            if r != k:
+                f = row[k]
+                rows[r] = [(pivot * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = pivot
+    return tuple(tuple(row[n:]) for row in rows), prev
 
 
 class _Kernel:
@@ -191,25 +240,51 @@ class _Kernel:
         nc = negative_curves(t)
         self.label = t.label
         self.curves = nc.all
+        m = len(self.curves)
         self.gram = tuple(tuple(c.dot(e) for e in self.curves) for c in self.curves)
+        self.cmat = np.array([c.coeffs for c in self.curves], dtype=np.int64).reshape(m, 5)
+        self.curve_cols = (self.cmat * _SIGNS).T
+        self.gram_np = np.array(self.gram, dtype=np.int64).reshape(m, m)
         self._table: dict[int, _Support | None] = {}
         z = ZERO
         if nc.minus_two:
-            sup = self.support((1 << len(nc.minus_two)) - 1)
-            if sup is None:
+            solved = _solve_support(self.gram, tuple(range(len(nc.minus_two))))
+            if solved is None:
                 raise CohomologyConsistencyError(f"{t.label}: (-2)-curves not negative definite")
-            for row, c in zip(sup.adj, nc.minus_two):
+            for row, c in zip(solved[0], nc.minus_two):
                 z = z + sum(row) * c
-        m = 1 + max((z.dot(l) for l in nc.minus_one_irred), default=0)
-        self.measure = m * -K - z
+        m_a = 1 + max((z.dot(l) for l in nc.minus_one_irred), default=0)
+        self.measure = m_a * -K - z
         self.measure_degs = tuple(self.measure.dot(c) for c in self.curves)
         if any(x <= 0 for x in self.measure_degs):
             raise CohomologyConsistencyError(f"{t.label}: measure class not positive on curves")
+        self.measure_np = np.array(self.measure_degs, dtype=np.int64)
+        # row @ test_cols: the degrees on the curves, on -K and on A
+        tests = [*self.curve_cols.T, _SIGNS * _ANTI_K.coeffs, _SIGNS * self.measure.coeffs]
+        self.test_cols = np.array(tests, dtype=np.float64).T
+        self.bits = 2.0 ** np.arange(m + 2)
+        self.code_dtype = np.min_scalar_type((1 << (m + 2)) - 1)
+        # the float64 carrier bound of the module docstring
+        c = int(np.abs(self.cmat).max(initial=0))
+        g = int(np.abs(self.gram_np).max(initial=0))
+        alpha = 2 ** len(nc.minus_two)
+        p = 5 * c * m * alpha
+        factor = max(
+            7,
+            sum(map(abs, self.measure.coeffs)),
+            5 * c * alpha * (1 + g * m * m),
+            1 + m * p * max(c, *self.measure_degs, 1),
+        )
+        if factor * FLOAT_EXACT_LIMIT >= 2**53:
+            raise CohomologyConsistencyError(
+                f"{t.label}: float64 carrier bound {factor} * FLOAT_EXACT_LIMIT reaches 2^53"
+            )
 
     def support(self, mask: int) -> _Support | None:
         if mask not in self._table:
             idx = tuple(i for i in range(len(self.curves)) if mask >> i & 1)
-            self._table[mask] = _solve_support(self.gram, idx)
+            solved = _solve_support(self.gram, idx)
+            self._table[mask] = None if solved is None else _Support(self, idx, *solved)
         return self._table[mask]
 
     def negative_part(self, degs: list[int], mask: int) -> tuple[_Support | None, list[int]]:
@@ -238,8 +313,6 @@ class _Kernel:
 def _kernel(t: SurfaceType) -> _Kernel:
     return _Kernel(t)
 
-
-_ANTI_K = -K
 
 
 @lru_cache(maxsize=None)
@@ -382,85 +455,94 @@ def r1_chain_vanishing(p: ChainProblem, levels: int | None = None) -> ChainCerti
 
 # ---------------------------------------------------------------------------
 # Vectorized exhaustive sweep over a coefficient box, used by the
-# acceptance battery: the Zariski rounds of _h0 run on int64 rows over the
-# same support table; the caller can cross-check random rows against the
-# scalar path.
+# acceptance battery: the Zariski rounds of _h0 run on float64 rows of
+# integers over the same support table; the caller can cross-check random
+# rows against the scalar path.
 
-_SIGNS = np.array([1, -1, -1, -1, -1], dtype=np.int64)
-_KVEC = np.array(K.coeffs, dtype=np.int64)
 
 
 def _chi_rows(rows: np.ndarray) -> np.ndarray:
-    """chi = (D^2 - D.K)/2 + 1 of every row."""
-    num = (rows * (rows - _KVEC) * _SIGNS).sum(axis=1)
-    if (num % 2).any():
-        bad = rows[(num % 2).astype(bool)][0]
-        raise CohomologyConsistencyError(f"parity violation in chi at {tuple(bad)}")
+    """chi = (D^2 - D.K)/2 + 1 of every row of a float64 array of integers."""
+    num = ((rows * (rows - _KVEC)) @ _SIGNS.astype(np.float64)).astype(np.int64)
+    odd = (num % 2).astype(bool)
+    if odd.any():
+        bad = tuple(int(x) for x in rows[odd][0])
+        raise CohomologyConsistencyError(f"parity violation in chi at {bad}")
     return num // 2 + 1
 
 
-def _h0_rows(rows: np.ndarray, kern: _Kernel) -> np.ndarray:
-    """h^0 of every row of coefficients, by the rounds of _h0.
+def _check_float_range(rows: np.ndarray, kern: _Kernel) -> None:
+    if rows.size and max(rows.max(), -rows.min()) > FLOAT_EXACT_LIMIT:
+        bad = rows[(np.abs(rows) > FLOAT_EXACT_LIMIT).any(axis=1)][0]
+        raise FloatRangeError(
+            f"row {tuple(int(x) for x in bad)} on {kern.label} has a coefficient "
+            f"beyond the float64-exact limit FLOAT_EXACT_LIMIT = {FLOAT_EXACT_LIMIT}"
+        )
 
-    rows is overwritten with the class at which each row's rounds stop.
-    Only the open rows' indices and support masks are carried between
-    steps; degrees are recomputed per group, which keeps the peak memory
-    at a few copies of rows.
+
+_CHUNK = 8192
+
+
+def _round_codes(rows: np.ndarray, kern: _Kernel) -> np.ndarray:
+    """Bit i of a row's code is set iff D.C_i < 0 for curve i; bits m and
+    m + 1 iff D.(-K) < 0 and iff D.A < 0 (step 1 of a round).
+
+    Built _CHUNK rows at a time, so that the float64 temporaries stay small.
+    """
+    codes = np.empty(rows.shape[0], dtype=kern.code_dtype)
+    for lo in range(0, rows.shape[0], _CHUNK):
+        codes[lo : lo + _CHUNK] = (rows[lo : lo + _CHUNK] @ kern.test_cols < 0) @ kern.bits
+    return codes
+
+
+def _h0_rows(rows: np.ndarray, kern: _Kernel) -> np.ndarray:
+    """h^0 of every row of a float64 array of integer coefficients, by the
+    rounds of _h0; rows is not modified.
+
+    The open rows of a round are kept contiguous and sorted together with
+    their support masks, so that each support group is a slice.  A row
+    leaves when a round ends it; only the rows that end at a nef class are
+    written, every other ending has h^0 = 0.
     """
     m = len(kern.curves)
-    cmat = np.array([c.coeffs for c in kern.curves], dtype=np.int64).reshape(m, 5)
-    curve_cols = (cmat * _SIGNS).T
-    gram = np.array(kern.gram, dtype=np.int64).reshape(m, m)
-    bits = np.left_shift(1, np.arange(m, dtype=np.int64))
-    measure_degs = np.array(kern.measure_degs, dtype=np.int64)
-
-    h0 = np.full(rows.shape[0], -1, dtype=np.int64)
-    measure = rows @ (np.array(kern.measure.coeffs, dtype=np.int64) * _SIGNS)
-    active = np.arange(rows.shape[0])
-    while active.size:
-        cur = rows[active]
-        bail = (cur @ (-_KVEC * _SIGNS) < 0) | (measure[active] < 0)
-        masks = np.zeros(active.size, dtype=np.int64)
-        for i in range(m):
-            masks |= (cur @ curve_cols[:, i] < 0) << i
-        nef = ~bail & (masks == 0)
-        h0[active[bail]] = 0
-        h0[active[nef]] = np.maximum(_chi_rows(cur[nef]), 0)
-        del cur
-        keep = ~bail & ~nef
-        idx, masks = active[keep], masks[keep]
-        finished = []
+    h0 = np.zeros(rows.shape[0], dtype=np.int64)
+    idx = np.arange(rows.shape[0])
+    cur = rows
+    while idx.size:
+        _check_float_range(cur, kern)
+        masks = _round_codes(cur, kern)
+        nef = masks == 0
+        h0[idx[nef]] = np.maximum(_chi_rows(cur[nef]), 0)
+        keep = ~nef & (masks < 1 << m)
+        cur, idx, masks = (np.compress(keep, a, axis=0) for a in (cur, idx, masks))
+        next_cur, next_idx = [], []
         while idx.size:
             order = np.argsort(masks, kind="stable")
-            idx, masks = idx[order], masks[order]
+            cur, idx, masks = (np.take(a, order, axis=0) for a in (cur, idx, masks))
             starts = np.flatnonzero(np.r_[True, masks[1:] != masks[:-1]])
             grew = np.zeros(idx.size, dtype=bool)
             for lo, hi in zip(starts, np.r_[starts[1:], idx.size]):
                 mask = int(masks[lo])
                 sup = kern.support(mask)
-                group = idx[lo:hi]
                 if sup is None:
-                    h0[group] = 0
                     continue
-                degs = rows[group] @ curve_cols
-                num = -(degs[:, sup.idx_np] @ sup.adj_t)
-                grown = mask | ((sup.det * degs < num @ gram[sup.idx_np]) @ bits)
+                s = len(sup.idx)
+                prod = cur[lo:hi] @ sup.solve
+                grown = mask | ((prod[:, s:] < 0) @ kern.bits[:m]).astype(masks.dtype)
                 masks[lo:hi] = grown
                 stay = grown == mask
                 grew[lo:hi] = ~stay
                 if stay.any():
-                    ceil = -((-num[stay]) // sup.det)
-                    drop = ceil @ measure_degs[sup.idx_np]
-                    if (drop <= 0).any():
+                    delta = np.floor_divide(prod[stay, :s], sup.det) @ sup.step
+                    if (delta[:, 5] >= 0).any():
                         raise ReductionDivergenceError(
                             f"Zariski round did not lower A.D in sweep on {kern.label}"
                         )
-                    done = group[stay]
-                    rows[done] -= ceil @ cmat[sup.idx_np]
-                    measure[done] -= drop
-                    finished.append(done)
-            idx, masks = idx[grew], masks[grew]
-        active = np.concatenate(finished) if finished else np.empty(0, dtype=np.int64)
+                    next_cur.append(cur[lo:hi][stay] + delta[:, :5])
+                    next_idx.append(idx[lo:hi][stay])
+            cur, idx, masks = (np.compress(grew, a, axis=0) for a in (cur, idx, masks))
+        if next_idx:
+            cur, idx = np.concatenate(next_cur), np.concatenate(next_idx)
     return h0
 
 
@@ -473,12 +555,13 @@ def sweep_box(
 ) -> dict:
     """h_all on every class with |coefficients| <= bound, with consistency
     checks (h^1 >= 0, parity of chi, the drop of A.D) built in."""
-    grids = np.meshgrid(*[np.arange(-bound, bound + 1)] * 5, indexing="ij")
-    box = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
+    box = np.indices((2 * bound + 1,) * 5, dtype=np.int64).reshape(5, -1).T - bound
     n = box.shape[0]
-    h0 = _h0_rows(np.vstack([box, _KVEC - box]), _kernel(t))
-
-    chi = _chi_rows(box)
+    rows = np.empty((2 * n, 5))
+    rows[:n] = box
+    rows[n:] = _KVEC - box
+    h0 = _h0_rows(rows, _kernel(t))
+    chi = _chi_rows(rows[:n])
     h0_d = h0[:n]
     h2_d = h0[n:]
     h1_d = h0_d + h2_d - chi

@@ -8,7 +8,7 @@ Todd class 1 - K/2 + pt (forced by chi(O) = 1 and K^2 = 5) the pairing
 
 is an exact integer for all classes handled here.  Hilbert polynomials are
 taken with respect to -K; all arithmetic is integer or Fraction, never
-floating point.
+floating point, and the Euler pairing is computed in integers as 2 chi.
 """
 
 from __future__ import annotations
@@ -81,10 +81,7 @@ class KClass:
 
     def int_vector(self) -> tuple[int, ...]:
         """(rank, c1 coefficients, 2*ch2) as a 7-tuple of integers."""
-        doubled = 2 * self.ch2
-        if doubled.denominator != 1:
-            raise IntegralityError(f"2*ch2 = {doubled} is not an integer")
-        return (self.rank, *self.c1.coeffs, doubled.numerator)
+        return (self.rank, *self.c1.coeffs, _twice_ch2(self))
 
     def to_json(self) -> dict:
         return {
@@ -111,6 +108,11 @@ class KClass:
                 f"ch2 must be [numerator, nonzero denominator], got {ch2!r}"
             )
         return cls(rank, DivClass.from_json(data.get("c1")), Fraction(*ch2))
+
+
+def _twice_ch2(x: KClass) -> int:
+    # an integer, since KClass admits only the denominators 1 and 2
+    return x.ch2.numerator * (2 // x.ch2.denominator)
 
 
 def line_bundle_class(d: DivClass) -> KClass:
@@ -156,14 +158,22 @@ def euler_pair(x: KClass, y: KClass) -> int:
     Expanding ch(x)^dual . ch(y) . (1 - K/2 + pt) in degrees gives
 
         rk(x) ch2(y) + rk(y) ch2(x) - c1(x).c1(y)
-        - (rk(x) c1(y) - rk(y) c1(x)).K/2 + rk(x) rk(y).
+        - (rk(x) c1(y) - rk(y) c1(x)).K/2 + rk(x) rk(y),
+
+    which is evaluated as an integer 2 chi from 2 ch2 and then halved.
     """
-    deg2 = x.rank * y.ch2 + y.rank * x.ch2 - x.c1.dot(y.c1)
-    deg1 = (x.rank * y.c1 - y.rank * x.c1).dot(K)
-    total = deg2 - Fraction(deg1, 2) + x.rank * y.rank
-    if total.denominator != 1:
-        raise IntegralityError(f"chi({x!r}, {y!r}) = {total} is not an integer")
-    return total.numerator
+    rx, ry = x.rank, y.rank
+    twice = (
+        rx * _twice_ch2(y)
+        + ry * _twice_ch2(x)
+        - 2 * x.c1.dot(y.c1)
+        - rx * y.c1.dot(K)
+        + ry * x.c1.dot(K)
+        + 2 * rx * ry
+    )
+    if twice % 2:
+        raise IntegralityError(f"chi({x!r}, {y!r}) = {twice}/2 is not an integer")
+    return twice // 2
 
 
 def twist(x: KClass, d: DivClass) -> KClass:

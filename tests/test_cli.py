@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from quintic.cli import main
+from quintic.cli import EXIT_PIPE, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -177,3 +183,35 @@ def test_report_runs_everything(capsys):
         "chern",
     ]
     assert all(s["status"] == "pass" for s in payload["sections"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bott", "1", "0", "0", "0", "0"],
+        ["--json", "gram", "--collection", "start7"],
+        ["verify", "catalog"],
+        ["--json", "verify", "catalog"],
+        ["report"],
+    ],
+    ids=["emit-human", "emit-json", "verify", "verify-json", "report"],
+)
+def test_closed_stdout_exits_141_without_traceback(argv):
+    # the read end of the pipe is closed before the child starts, so its
+    # first write to stdout fails with EPIPE on every run
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quintic.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_PIPE == 141
+    assert proc.stderr == b""

@@ -1,11 +1,18 @@
 import itertools
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quintic.cohomology import (
+    FLOAT_EXACT_LIMIT,
     CannotConcludeError,
+    FloatRangeError,
     _h0,
+    _h0_rows,
+    _kernel,
+    _solve_support,
     ChainCertificate,
     ChainProblem,
     ext_line,
@@ -273,3 +280,74 @@ def test_suite_sweep_consistency_check_is_real():
     arr["h2"][row] += 1
     arr["h1"][row] += 1
     assert not _sweep_consistent(info)
+
+
+def _fraction_solve_support(gram, idx):
+    """The earlier support solve, kept as a reference: Gauss-Jordan over the
+    rationals, positive definite iff every pivot is positive, det the pivot
+    product and adj = det * inverse."""
+    n = len(idx)
+    rows = [
+        [Fraction(-gram[i][j]) for j in idx] + [Fraction(int(r == c)) for c in range(n)]
+        for r, i in enumerate(idx)
+    ]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = rows[col][col]
+        if pivot <= 0:
+            return None
+        det *= pivot
+        rows[col] = [x / pivot for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    adj = tuple(tuple(det * x for x in row[n:]) for row in rows)
+    assert det.denominator == 1 and all(x.denominator == 1 for row in adj for x in row)
+    return tuple(tuple(int(x) for x in row) for row in adj), int(det)
+
+
+def test_bareiss_support_solve_matches_fraction_reference_on_every_subset():
+    solved = 0
+    for t in catalog():
+        gram = _kernel(t).gram
+        m = len(negative_curves(t).all)
+        for mask in range(1, 1 << m):
+            idx = tuple(i for i in range(m) if mask >> i & 1)
+            got = _solve_support(gram, idx)
+            assert got == _fraction_solve_support(gram, idx), (t.label, idx)
+            if got is not None:
+                solved += 1
+                adj, det = got
+                # the table sizes quoted by the float64 carrier proof
+                assert 1 <= det <= 6 and max(abs(x) for row in adj for x in row) <= 6
+    assert solved == 532
+
+
+def test_batch_row_past_the_float_limit_raises():
+    rows = np.zeros((3, 5))
+    rows[1, 2] = -(FLOAT_EXACT_LIMIT + 1)
+    with pytest.raises(FloatRangeError, match=f"FLOAT_EXACT_LIMIT = {FLOAT_EXACT_LIMIT}$"):
+        _h0_rows(rows, _kernel(surface_type("V.2")))
+
+
+@pytest.mark.parametrize("label", [t.label for t in catalog()])
+def test_batch_rows_at_the_float_limit_match_scalar(label):
+    L = FLOAT_EXACT_LIMIT
+    t = surface_type(label)
+    rows = [
+        (L, 0, 0, 0, 0),
+        (0, -L, 0, 0, 0),
+        (L, -L, 0, 0, 0),
+        (L, 0, 0, 0, -L),
+        (L, L, 0, 0, 0),
+        (L, L, L, L, L),
+        (-L, 0, 0, 0, 0),
+        (L, -L, -L, -L, -L),
+    ]
+    try:
+        got = _h0_rows(np.array(rows, dtype=np.float64), _kernel(t)).tolist()
+        assert got == [_h0(r, t)[0] for r in rows]
+        assert got[0] == (L + 1) * (L + 2) // 2  # h^0(O(L h)) > 2^49
+    finally:
+        _h0.cache_clear()

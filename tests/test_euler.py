@@ -157,6 +157,41 @@ def test_serre_symmetry(x, y):
     assert euler_pair(x, y) == euler_pair(y, twist(x, K))
 
 
+def _fraction_euler_pair(x, y):
+    """The earlier rational form of euler_pair, kept as a reference."""
+    deg2 = x.rank * y.ch2 + y.rank * x.ch2 - x.c1.dot(y.c1)
+    deg1 = (x.rank * y.c1 - y.rank * x.c1).dot(K)
+    total = deg2 - Fraction(deg1, 2) + x.rank * y.rank
+    assert total.denominator == 1
+    return total.numerator
+
+
+wide_k_classes = st.builds(
+    _kclass,
+    st.integers(-(10**6), 10**6),
+    st.tuples(*[st.integers(-(10**6), 10**6)] * 5).map(DivClass),
+    st.integers(-(10**9), 10**9),
+)
+half_k_classes = st.one_of(k_classes, wide_k_classes).filter(
+    lambda x: x.ch2.denominator == 2
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(k_classes, wide_k_classes, half_k_classes),
+    st.one_of(k_classes, wide_k_classes, half_k_classes),
+)
+def test_integer_euler_pair_matches_fraction_formula(x, y):
+    assert euler_pair(x, y) == _fraction_euler_pair(x, y)
+
+
+@given(half_k_classes, half_k_classes)
+def test_integer_euler_pair_on_half_integer_ch2(x, y):
+    assert x.ch2.denominator == y.ch2.denominator == 2
+    assert euler_pair(x, y) == _fraction_euler_pair(x, y)
+
+
 def test_chi_identities_on_anchors():
     pt = point_class()
     assert euler_pair(f_tilde_class(), pt) == 2
