@@ -3,8 +3,9 @@
 Subcommands: classify, verify, bott, gram, report.  Divisor classes enter
 and leave as 5-integer arrays [a, b1, b2, b3, b4] encoding a*h - sum b_i e_i.
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage or input
-error, 141 (128 + SIGPIPE) when the reader closed standard output before
-all of it was written.
+error, 70 (EX_SOFTWARE) an internal error, reported on stderr as
+"internal error: <type>: <message>", 141 (128 + SIGPIPE) when the reader
+closed standard output before all of it was written.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .suites import DEFAULT_SEED, SUITE_NAMES, run_report, run_suites
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 70
 EXIT_PIPE = 141
 
 
@@ -250,6 +252,9 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_PIPE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

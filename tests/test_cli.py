@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from quintic.cli import EXIT_PIPE, main
+import quintic.cli
+from quintic.cli import EXIT_INTERNAL, EXIT_PIPE, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -167,6 +168,17 @@ def test_malformed_input_exits_2_with_message(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_internal_error_exits_70_with_its_type(capsys, monkeypatch):
+    def broken(args):
+        raise KeyError("lost table entry")
+
+    monkeypatch.setattr(quintic.cli, "cmd_bott", broken)
+    code, out, err = run(capsys, "bott", "1", "0")
+    assert code == EXIT_INTERNAL == 70
+    assert out == ""
+    assert err == "internal error: KeyError: 'lost table entry'\n"
 
 
 def test_report_runs_everything(capsys):

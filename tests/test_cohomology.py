@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from quintic.cohomology import (
     FLOAT_EXACT_LIMIT,
     CannotConcludeError,
     FloatRangeError,
+    _box,
     _h0,
     _h0_rows,
     _kernel,
@@ -351,3 +354,48 @@ def test_batch_rows_at_the_float_limit_match_scalar(label):
         assert got[0] == (L + 1) * (L + 2) // 2  # h^0(O(L h)) > 2^49
     finally:
         _h0.cache_clear()
+
+
+def test_sweep_prefilter_drops_only_rows_with_no_sections():
+    # (K - D).(-K) = -5 - D.(-K): in the gap -5 < D.(-K) < 0 neither D nor
+    # K - D passes step 1, so sweep_box never sends them to the kernel
+    box, _, anti_k, rows = _box(3)
+    classes = [DivClass(tuple(d)) for d in box.tolist()]
+    assert anti_k.tolist() == [d.dot(-K) for d in classes]
+    assert [(K - d).dot(-K) for d in classes] == (-5 - anti_k).tolist()
+    gap = box[(anti_k > -5) & (anti_k < 0)].tolist()
+    assert len(gap) + rows.shape[0] == box.shape[0]
+    for t in catalog():
+        for d in gap:
+            assert _h0(tuple(d), t)[0] == 0, (t.label, d)
+            assert _h0((K - DivClass(tuple(d))).coeffs, t)[0] == 0, (t.label, d)
+
+
+def test_sweep_box_arrays_are_shared_read_only_and_repeatable():
+    t = surface_type("IV.2")
+    first = sweep_box(t, bound=2, return_arrays=True)
+    second = sweep_box(t, bound=2, return_arrays=True)
+    a, b = first.pop("arrays"), second.pop("arrays")
+    assert first == second
+    assert all((a[k] == b[k]).all() for k in a)
+    # the box and chi are the cached arrays of every sweep at this bound
+    for key in ("box", "chi"):
+        assert a[key] is b[key]
+        with pytest.raises(ValueError):
+            a[key][0] = 0
+    for data in _box(2):
+        with pytest.raises(ValueError):
+            data[0] = 0
+
+
+@given(x=st.integers(-(2**53 - 1), 2**53 - 1), det=st.integers(1, 16))
+@example(x=2**53 - 1, det=1)
+@example(x=-(2**53 - 1), det=1)
+@example(x=2**53 - 1, det=6)
+@example(x=-(2**53 - 1), det=16)
+@example(x=-6 * (2**49), det=6)
+@example(x=16 * (2**48 - 1), det=16)
+@example(x=-(2**53 - 2), det=2)
+def test_float_floor_of_quotient_is_integer_floor_division(x, det):
+    # the batch round takes -ceil(N) as floor(x / det) on float64
+    assert np.floor(np.float64(x) / det) == x // det
