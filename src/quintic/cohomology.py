@@ -129,9 +129,7 @@ __all__ = [
     "FLOAT_EXACT_LIMIT",
     "CannotConcludeError",
     "negative_curves",
-    "reduce_to_nef",
     "h_all",
-    "ext_line",
     "f_tilde_cohomology",
     "ChainProblem",
     "ChainCertificate",
@@ -367,18 +365,6 @@ def _h0(coeffs: tuple[int, ...], t: SurfaceType) -> tuple[int, DivClass]:
         measure -= drop
 
 
-def reduce_to_nef(d: DivClass, t: SurfaceType) -> DivClass:
-    """The class at which the Zariski rounds on D stop.
-
-    For an effective D this is D minus the round-ups of the negative parts
-    removed: a nef class with the same h^0, reached by subtracting fixed
-    components of |D| only.  When h^0(D) = 0 it is the class at which a
-    round found D.(-K) < 0, D.A < 0 or a support that is not negative
-    definite; it need not be nef.
-    """
-    return _h0(d.coeffs, t)[1]
-
-
 def h_all(d: DivClass, t: SurfaceType) -> tuple[int, int, int]:
     """Exact (h^0, h^1, h^2) of O(D) on the given surface type."""
     h0 = _h0(d.coeffs, t)[0]
@@ -389,11 +375,6 @@ def h_all(d: DivClass, t: SurfaceType) -> tuple[int, int, int]:
             f"negative h^1 = {h1} for {d!r} on {t.label}"
         )
     return h0, h1, h2
-
-
-def ext_line(d1: DivClass, d2: DivClass, t: SurfaceType) -> tuple[int, int, int]:
-    """Ext dimensions between line bundles: cohomology of the difference."""
-    return h_all(d2 - d1, t)
 
 
 def f_tilde_cohomology(t: SurfaceType) -> tuple[int, int, int]:

@@ -1,8 +1,9 @@
 """Riemann-Roch and the Euler pairing on numerical K-classes.
 
 A numerical class is a triple (rank, c1, ch2) where c1 lives in the Picard
-lattice and ch2 is a half-integer multiple of the point class.  With the
-Todd class 1 - K/2 + pt (forced by chi(O) = 1 and K^2 = 5) the pairing
+lattice and ch2 is a half-integer multiple of the point class, held as the
+integer 2 ch2.  With the Todd class 1 - K/2 + pt (forced by chi(O) = 1 and
+K^2 = 5) the pairing
 
     chi(x, y) = integral of ch(x)^dual . ch(y) . Td
 
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .lattice import E, H, K, ZERO, DivClass
+from .lattice import H, K, ZERO, DivClass
+from .surfaces import a3_block_classes
 
 __all__ = [
     "IntegralityError",
@@ -44,7 +46,7 @@ class IntegralityError(ArithmeticError):
 
 @dataclass(frozen=True)
 class KClass:
-    """Numerical K-theory class (rank, c1, ch2) with ch2 in (1/2)Z.
+    """Numerical K-theory class (rank, c1, ch2), holding 2*ch2 as an integer.
 
     The group is generated by line-bundle classes (1, D, D^2/2) and the
     point class (0, 0, 1), so 2*ch2 and c1^2 always have the same parity;
@@ -53,42 +55,42 @@ class KClass:
 
     rank: int
     c1: DivClass
-    ch2: Fraction
+    twice_ch2: int
 
     def __post_init__(self):
-        ch2 = Fraction(self.ch2)
-        if ch2.denominator not in (1, 2):
-            raise ValueError(f"ch2 must be a half-integer, got {ch2}")
-        if (2 * ch2 - self.c1.square()) % 2 != 0:
+        if (self.twice_ch2 - self.c1.square()) % 2:
             raise ValueError(
-                f"({self.rank}, {self.c1!r}, {ch2}) is not a class of an object"
+                f"({self.rank}, {self.c1!r}, ch2 = {self.twice_ch2}/2) "
+                "is not a class of an object"
             )
-        object.__setattr__(self, "ch2", ch2)
 
     def __add__(self, other: "KClass") -> "KClass":
-        return KClass(self.rank + other.rank, self.c1 + other.c1, self.ch2 + other.ch2)
+        return KClass(
+            self.rank + other.rank, self.c1 + other.c1, self.twice_ch2 + other.twice_ch2
+        )
 
     def __sub__(self, other: "KClass") -> "KClass":
-        return KClass(self.rank - other.rank, self.c1 - other.c1, self.ch2 - other.ch2)
+        return KClass(
+            self.rank - other.rank, self.c1 - other.c1, self.twice_ch2 - other.twice_ch2
+        )
 
     def __neg__(self) -> "KClass":
-        return KClass(-self.rank, -self.c1, -self.ch2)
+        return KClass(-self.rank, -self.c1, -self.twice_ch2)
 
     def __mul__(self, n: int) -> "KClass":
-        return KClass(n * self.rank, n * self.c1, n * self.ch2)
+        return KClass(n * self.rank, n * self.c1, n * self.twice_ch2)
 
     __rmul__ = __mul__
 
     def int_vector(self) -> tuple[int, ...]:
         """(rank, c1 coefficients, 2*ch2) as a 7-tuple of integers."""
-        return (self.rank, *self.c1.coeffs, _twice_ch2(self))
+        return (self.rank, *self.c1.coeffs, self.twice_ch2)
 
     def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "c1": self.c1.to_json(),
-            "ch2": [self.ch2.numerator, self.ch2.denominator],
-        }
+        """ch2 goes out as the reduced pair [numerator, denominator]."""
+        t = self.twice_ch2
+        ch2 = [t // 2, 1] if t % 2 == 0 else [t, 2]
+        return {"rank": self.rank, "c1": self.c1.to_json(), "ch2": ch2}
 
     @classmethod
     def from_json(cls, data: dict) -> "KClass":
@@ -107,17 +109,15 @@ class KClass:
             raise ValueError(
                 f"ch2 must be [numerator, nonzero denominator], got {ch2!r}"
             )
-        return cls(rank, DivClass.from_json(data.get("c1")), Fraction(*ch2))
-
-
-def _twice_ch2(x: KClass) -> int:
-    # an integer, since KClass admits only the denominators 1 and 2
-    return x.ch2.numerator * (2 // x.ch2.denominator)
+        num, den = ch2
+        if (2 * num) % den:
+            raise ValueError(f"ch2 must be a half-integer, got {num}/{den}")
+        return cls(rank, DivClass.from_json(data.get("c1")), 2 * num // den)
 
 
 def line_bundle_class(d: DivClass) -> KClass:
     """Class of O(D): (1, D, D^2/2)."""
-    return KClass(1, d, Fraction(d.square(), 2))
+    return KClass(1, d, d.square())
 
 
 def structure_class() -> KClass:
@@ -126,7 +126,7 @@ def structure_class() -> KClass:
 
 def point_class() -> KClass:
     """Class of the structure sheaf of a point."""
-    return KClass(0, ZERO, Fraction(1))
+    return KClass(0, ZERO, 2)
 
 
 @lru_cache(maxsize=None)
@@ -137,11 +137,9 @@ def f_tilde_class() -> KClass:
 
 @lru_cache(maxsize=None)
 def p_class() -> KClass:
-    """Class of the rank-5 bundle O(h) + sum of O(e_i-K-h): (5, -3K, 5/2)."""
-    cls = line_bundle_class(H)
-    for i in (1, 2, 3, 4):
-        cls = cls + line_bundle_class(E[i] - K - H)
-    return cls
+    """Class of the rank-5 bundle, the sum of O(D) over the five block
+    classes: (5, -3K, 5/2)."""
+    return sum((line_bundle_class(d) for d in a3_block_classes()), KClass(0, ZERO, 0))
 
 
 def chi_line(d: DivClass) -> int:
@@ -164,8 +162,8 @@ def euler_pair(x: KClass, y: KClass) -> int:
     """
     rx, ry = x.rank, y.rank
     twice = (
-        rx * _twice_ch2(y)
-        + ry * _twice_ch2(x)
+        rx * y.twice_ch2
+        + ry * x.twice_ch2
         - 2 * x.c1.dot(y.c1)
         - rx * y.c1.dot(K)
         + ry * x.c1.dot(K)
@@ -181,7 +179,7 @@ def twist(x: KClass, d: DivClass) -> KClass:
     return KClass(
         x.rank,
         x.c1 + x.rank * d,
-        x.ch2 + x.c1.dot(d) + Fraction(x.rank * d.square(), 2),
+        x.twice_ch2 + 2 * x.c1.dot(d) + x.rank * d.square(),
     )
 
 

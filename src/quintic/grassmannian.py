@@ -34,12 +34,9 @@ __all__ = [
     "rstar",
     "sym_rstar",
     "rperp",
-    "rperp_dual",
     "dual",
     "twist",
     "tensor_decompose",
-    "block_dim",
-    "bundle_dim",
     "rhom",
     "rhom_chi",
     "chi_vector",
@@ -304,10 +301,6 @@ def rperp(k: int = 0) -> HomBundle:
     return HomBundle.block((k, k), (1, 0, 0))
 
 
-def rperp_dual(k: int = 0) -> HomBundle:
-    return HomBundle.block((k, k), (0, 0, -1))
-
-
 def twist(x: HomBundle, k: int) -> HomBundle:
     return HomBundle.from_counter(
         Counter(
@@ -337,15 +330,6 @@ def tensor_decompose(a: HomBundle, b: HomBundle) -> HomBundle:
                 for bb, cb in betas.items():
                     out[_normalize_block(g, bb)] += m1 * m2 * cg * cb
     return HomBundle.from_counter(out)
-
-
-def block_dim(block: Block) -> int:
-    g, b = block
-    return weyl_dim(g, 2) * weyl_dim(b, 3)
-
-
-def bundle_dim(x: HomBundle) -> int:
-    return sum(m * block_dim(blk) for blk, m in x.summands)
 
 
 # ---------------------------------------------------------------------------

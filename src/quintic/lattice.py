@@ -9,17 +9,21 @@ class -3h + e1 + e2 + e3 + e4 is therefore stored as ``[-3, -1, -1, -1, -1]``.
 The sublattice orthogonal to the canonical class carries the root system
 A4 (20 roots); its Weyl group is S5, generated by the four reflections in
 the simple roots e1-e2, e2-e3, e3-e4 and h-e1-e2-e3.
+
+The finite sets of classes are Weyl orbits, not searches.  The roots of an
+irreducible simply-laced root system form a single Weyl orbit, so the 20
+roots are the orbit of e1-e2.  The ten (-1)-classes of a del Pezzo surface
+of degree 5 form a single W(A4) orbit (Manin, *Cubic Forms*, section 23),
+so they are the orbit of e1.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
 __all__ = [
-    "BoxContainmentError",
     "DivClass",
     "H",
     "E",
@@ -30,23 +34,11 @@ __all__ = [
     "simple_roots",
     "enumerate_roots",
     "is_root",
-    "reflect",
     "weyl_orbit",
     "is_weyl_stable",
     "weyl_group_elements",
     "minus_one_classes",
 ]
-
-# Enumeration box for negative classes.  Any class D with D^2 >= -2 and
-# |D.K| <= 2 has |a| <= 3 and |b_i| <= 3: Cauchy-Schwarz against -K on the
-# rank-one part and negative definiteness on K-perp bound the coefficients.
-# Results are checked to lie strictly inside the box.
-_BOX_BOUND = 3
-
-
-class BoxContainmentError(ArithmeticError):
-    """An enumerated class reaches the edge of the enumeration box."""
-
 
 @dataclass(frozen=True, slots=True)
 class DivClass:
@@ -141,50 +133,13 @@ def simple_roots() -> tuple[DivClass, DivClass, DivClass, DivClass]:
     return (delta(1, 2), delta(2, 3), delta(3, 4), delta(1, 2, 3))
 
 
-def _coefficient_box():
-    rng = range(-_BOX_BOUND, _BOX_BOUND + 1)
-    for coeffs in itertools.product(rng, repeat=5):
-        yield DivClass(coeffs)
-
-
-def _inside_box(found: frozenset[DivClass]) -> frozenset[DivClass]:
-    for d in found:
-        if max(abs(c) for c in d.coeffs) >= _BOX_BOUND:
-            raise BoxContainmentError(
-                f"{d!r} reaches the edge of the enumeration box |coeff| <= {_BOX_BOUND}"
-            )
-    return found
-
-
-@lru_cache(maxsize=None)
-def enumerate_roots() -> frozenset[DivClass]:
-    """All 20 roots: classes D with D^2 = -2 and D.K = 0 (computed once)."""
-    return _inside_box(frozenset(d for d in _coefficient_box() if is_root(d)))
-
-
-@lru_cache(maxsize=None)
-def minus_one_classes() -> frozenset[DivClass]:
-    """The 10 classes with D^2 = D.K = -1: the e_i and the h - e_i - e_j
-    (computed once)."""
-    return _inside_box(
-        frozenset(d for d in _coefficient_box() if d.square() == -1 and d.dot(K) == -1)
-    )
-
-
 def _reflect(d: DivClass, root: DivClass) -> DivClass:
-    """reflect without the root check, for the simple roots."""
-    return d + d.dot(root) * root
-
-
-def reflect(root: DivClass, d: DivClass) -> DivClass:
     """Reflection of d in the hyperplane orthogonal to a (-2)-root.
 
     Since root^2 = -2 the reflection formula collapses to d + (d.root)*root;
     it is an involution, preserves the intersection form and fixes K.
     """
-    if not is_root(root):
-        raise ValueError(f"{root!r} is not a root")
-    return _reflect(d, root)
+    return d + d.dot(root) * root
 
 
 def _closure(seed: Iterable, step) -> frozenset:
@@ -201,6 +156,19 @@ def _closure(seed: Iterable, step) -> frozenset:
                 seen.add(image)
                 frontier.append(image)
     return frozenset(seen)
+
+
+@lru_cache(maxsize=None)
+def enumerate_roots() -> frozenset[DivClass]:
+    """All 20 roots: classes D with D^2 = -2 and D.K = 0 (computed once)."""
+    return weyl_orbit([delta(1, 2)])
+
+
+@lru_cache(maxsize=None)
+def minus_one_classes() -> frozenset[DivClass]:
+    """The 10 classes with D^2 = D.K = -1: the e_i and the h - e_i - e_j
+    (computed once)."""
+    return weyl_orbit([E[1]])
 
 
 def weyl_orbit(seed: Iterable[DivClass]) -> frozenset[DivClass]:

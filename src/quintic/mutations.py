@@ -7,8 +7,8 @@ by (F, chi(E,F)*F - E); the categorical mutation involves shifts, so class
 comparisons downstream are made up to a global sign per slot.
 
 Unitriangularity of the Gram matrix is the numerical shadow of
-semiorthogonality: necessary, not sufficient.  Genuine Ext-level checks
-for line-bundle pairs live in the cohomology module.
+semiorthogonality: necessary, not sufficient.  The Ext-level check for a
+pair of line bundles O(D), O(D') is ``cohomology.h_all(D' - D, t)``.
 """
 
 from __future__ import annotations
@@ -247,9 +247,9 @@ def sodwdp_start_collection() -> ExcCollection:
 
 def sodwdp_target_collection() -> ExcCollection:
     """O, the rank-2 extension class, then the five-object big block."""
+    labels = ["O(h)"] + [f"O(e{i}-K-h)" for i in (4, 3, 2, 1)]
     objects = [_line("O", ZERO), ("F", f_tilde_class())]
-    objects += [_line("O(h)", H)]
-    objects += [_line(f"O(e{i}-K-h)", E[i] - K - H) for i in (4, 3, 2, 1)]
+    objects += [_line(label, d) for label, d in zip(labels, a3_block_classes())]
     return ExcCollection(tuple(objects), euler_pair)
 
 

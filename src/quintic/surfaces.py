@@ -10,9 +10,10 @@ the nontrivial piece of the derived category.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
-from .lattice import E, H, K, DivClass, delta, is_root
+from .lattice import H, DivClass, delta, is_root, weyl_orbit
 
 __all__ = [
     "SurfaceType",
@@ -142,9 +143,17 @@ def z_scheme(ade: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(parts))
 
 
+@lru_cache(maxsize=None)
 def a3_block_classes() -> tuple[DivClass, ...]:
-    """The five classes h, e4-K-h, ..., e1-K-h spanning the big block."""
-    return (H,) + tuple(E[i] - K - H for i in (4, 3, 2, 1))
+    """The five classes h, e4-K-h, e3-K-h, e2-K-h, e1-K-h of the big block.
+
+    They are the Weyl orbit of h, which is the set of classes with D^2 = 1
+    and D.(-K) = 3.  The order matters: the block is exceptional in this
+    order, and the mutation target lists its line bundles in it.  Sorting
+    by the reversed coefficients (b4, b3, b2, b1, a) gives it: h has every
+    b_j = 0, and e_i-K-h = 2h - (sum of e_j, j != i) has its one zero at b_i.
+    """
+    return tuple(sorted(weyl_orbit([H]), key=lambda d: d.coeffs[::-1]))
 
 
 def a3_chains(t: SurfaceType) -> tuple[tuple[DivClass, ...], ...]:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quintic.euler import (
@@ -30,7 +30,7 @@ div_classes = st.tuples(*[st.integers(-5, 5)] * 5).map(DivClass)
 
 def _kclass(rank: int, c1: DivClass, extra: int) -> KClass:
     # ch2 differs from c1^2/2 by an integer on any class of an actual object
-    return KClass(rank, c1, Fraction(c1.square(), 2) + extra)
+    return KClass(rank, c1, c1.square() + 2 * extra)
 
 
 k_classes = st.builds(
@@ -53,18 +53,43 @@ def test_chi_line_values():
 
 
 def test_kclass_rejects_bad_denominator():
+    # ch2 = 1/3 has no integer 2 ch2
     with pytest.raises(ValueError):
-        KClass(1, ZERO, Fraction(1, 3))
+        KClass.from_json({"rank": 1, "c1": [0, 0, 0, 0, 0], "ch2": [1, 3]})
 
 
 def test_kclass_rejects_wrong_parity():
     with pytest.raises(ValueError):
-        KClass(0, ZERO, Fraction(1, 2))
+        KClass(0, ZERO, 1)
 
 
 def test_kclass_json_round_trip():
     f = f_tilde_class()
+    assert f.to_json()["ch2"] == [1, 2]
     assert KClass.from_json(f.to_json()) == f
+
+
+@given(st.integers(-40, 40), st.integers(-12, 12).filter(bool), st.sampled_from([ZERO, H]))
+@example(2, 4, H)
+@example(2, 4, ZERO)
+@example(1, -2, H)
+@example(1, -2, ZERO)
+@example(1, 3, ZERO)
+@example(3, 6, H)
+@example(3, 6, ZERO)
+@example(-4, -2, ZERO)
+def test_kclass_wire_format_is_the_reduced_ch2_pair(num, den, c1):
+    # [num, den] is accepted exactly when num/den reduces to a denominator
+    # of 1 or 2 whose 2 ch2 has the parity of c1^2, and goes out reduced
+    record = {"rank": 1, "c1": c1.to_json(), "ch2": [num, den]}
+    ch2 = Fraction(num, den)
+    if ch2.denominator not in (1, 2) or (2 * ch2 - c1.square()) % 2:
+        with pytest.raises(ValueError):
+            KClass.from_json(record)
+        return
+    x = KClass.from_json(record)
+    assert x.twice_ch2 == 2 * ch2
+    assert x.to_json()["ch2"] == [ch2.numerator, ch2.denominator]
 
 
 @pytest.mark.parametrize(
@@ -84,21 +109,21 @@ def test_kclass_from_json_rejects_malformed_records(record):
 
 
 def test_line_bundle_and_point_classes():
-    assert line_bundle_class(H) == KClass(1, H, Fraction(1, 2))
-    assert point_class() == KClass(0, ZERO, Fraction(1))
+    assert line_bundle_class(H) == KClass(1, H, 1)
+    assert point_class() == KClass(0, ZERO, 2)
     # O_C(-1) on a curve class C as the difference [O(C)] - [O]
     c = E[1] - E[2]
     diff = line_bundle_class(c) - line_bundle_class(ZERO)
-    assert diff == KClass(0, c, Fraction(-1))
+    assert diff == KClass(0, c, -2)
 
 
 def test_f_tilde_and_p_classes():
     assert f_tilde_class() is f_tilde_class()
     assert p_class() is p_class()
     f = f_tilde_class()
-    assert (f.rank, f.c1, f.ch2) == (2, -K, Fraction(1, 2))
+    assert (f.rank, f.c1, f.twice_ch2) == (2, -K, 1)
     p = p_class()
-    assert (p.rank, p.c1, p.ch2) == (5, -3 * K, Fraction(5, 2))
+    assert (p.rank, p.c1, p.twice_ch2) == (5, -3 * K, 5)
 
 
 def test_hilbert_polys_reproduce_published_values():
@@ -159,7 +184,11 @@ def test_serre_symmetry(x, y):
 
 def _fraction_euler_pair(x, y):
     """The earlier rational form of euler_pair, kept as a reference."""
-    deg2 = x.rank * y.ch2 + y.rank * x.ch2 - x.c1.dot(y.c1)
+    deg2 = (
+        x.rank * Fraction(y.twice_ch2, 2)
+        + y.rank * Fraction(x.twice_ch2, 2)
+        - x.c1.dot(y.c1)
+    )
     deg1 = (x.rank * y.c1 - y.rank * x.c1).dot(K)
     total = deg2 - Fraction(deg1, 2) + x.rank * y.rank
     assert total.denominator == 1
@@ -173,7 +202,7 @@ wide_k_classes = st.builds(
     st.integers(-(10**9), 10**9),
 )
 half_k_classes = st.one_of(k_classes, wide_k_classes).filter(
-    lambda x: x.ch2.denominator == 2
+    lambda x: x.twice_ch2 % 2 == 1
 )
 
 
@@ -188,7 +217,7 @@ def test_integer_euler_pair_matches_fraction_formula(x, y):
 
 @given(half_k_classes, half_k_classes)
 def test_integer_euler_pair_on_half_integer_ch2(x, y):
-    assert x.ch2.denominator == y.ch2.denominator == 2
+    assert x.twice_ch2 % 2 == y.twice_ch2 % 2 == 1
     assert euler_pair(x, y) == _fraction_euler_pair(x, y)
 
 
@@ -207,11 +236,7 @@ def test_chi_identities_on_seeded_random_classes():
     rng = random.Random(20260808)
     for _ in range(1000):
         c1 = DivClass(tuple(rng.randint(-50, 50) for _ in range(5)))
-        g = KClass(
-            rng.randint(-50, 50),
-            c1,
-            Fraction(c1.square(), 2) + rng.randint(-50, 50),
-        )
+        g = KClass(rng.randint(-50, 50), c1, c1.square() + 2 * rng.randint(-50, 50))
         assert verify_chi_identities(g)
 
 

@@ -1,5 +1,6 @@
-"""Checks on the package source: no assert statements, and every name the
-benchmark tracer in perfbench/spans.py looks up still exists."""
+"""Checks on the package source: no assert statements, every ``__all__``
+entry exists, and every name the benchmark tracer in perfbench/spans.py
+looks up still exists."""
 
 import ast
 import importlib
@@ -22,6 +23,15 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert statements at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_all_entries_resolve(path):
+    # a stale entry would make `from quintic.<module> import *` raise
+    name = "quintic" if path.stem == "__init__" else f"quintic.{path.stem}"
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == [], f"{name}.__all__ names missing attributes: {missing}"
 
 
 def _spans_module() -> types.ModuleType:

@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quintic import lattice
 from quintic.lattice import (
-    BoxContainmentError,
     E,
     H,
     K,
@@ -17,12 +15,13 @@ from quintic.lattice import (
     is_root,
     is_weyl_stable,
     line_through,
+    _reflect,
     minus_one_classes,
-    reflect,
     simple_roots,
     weyl_group_elements,
     weyl_orbit,
 )
+from quintic.surfaces import a3_block_classes
 
 div_classes = st.tuples(*[st.integers(-6, 6)] * 5).map(DivClass)
 
@@ -108,50 +107,47 @@ def test_enumerations_are_computed_once():
     assert minus_one_classes() is minus_one_classes()
 
 
-@pytest.mark.parametrize("enumerate", [enumerate_roots, minus_one_classes])
-def test_enumeration_box_too_small_raises(monkeypatch, enumerate):
-    # the box check is an always-on error, not an assert
-    monkeypatch.setattr(lattice, "_BOX_BOUND", 1)
-    enumerate.cache_clear()
-    try:
-        with pytest.raises(BoxContainmentError):
-            enumerate()
-    finally:
-        enumerate.cache_clear()
+def test_derived_sets_are_complete_on_a_coefficient_box():
+    # Reference scan.  For D = a h - b1 e1 - .. - b4 e4 each set fixes
+    # s = b1 + .. + b4 and q = b1^2 + .. + b4^2 in terms of a (roots: 3a and
+    # a^2 + 2; (-1)-classes: 3a - 1 and a^2 + 1; block classes: 3a - 3 and
+    # a^2 - 1).  Cauchy-Schwarz s^2 <= 4q then gives |a| <= 2 and q <= 3, so
+    # the |coeff| <= 3 box holds each whole set.
+    box = [DivClass(c) for c in itertools.product(range(-3, 4), repeat=5)]
+    assert {d for d in box if is_root(d)} == enumerate_roots()
+    assert {d for d in box if d.square() == d.dot(K) == -1} == minus_one_classes()
+    assert {d for d in box if d.square() == 1 and d.dot(-K) == 3} == set(
+        a3_block_classes()
+    )
 
 
 def test_reflect_simple_root_transposes_exceptionals():
     # permutation oracle: reflection in e_i - e_{i+1} swaps e_i and e_{i+1}
     for i in (1, 2, 3):
         r = delta(i, i + 1)
-        assert reflect(r, E[i]) == E[i + 1]
-        assert reflect(r, E[i + 1]) == E[i]
-        assert reflect(r, H) == H
+        assert _reflect(E[i], r) == E[i + 1]
+        assert _reflect(E[i + 1], r) == E[i]
+        assert _reflect(H, r) == H
         others = {1, 2, 3, 4} - {i, i + 1}
         for j in others:
-            assert reflect(r, E[j]) == E[j]
+            assert _reflect(E[j], r) == E[j]
 
 
 def test_reflect_cremona_root():
     # reflection in h-e1-e2-e3 acts as the quadratic transformation based
     # at the first three points
     r = delta(1, 2, 3)
-    assert reflect(r, H) == 2 * H - E[1] - E[2] - E[3]
-    assert reflect(r, E[1]) == H - E[2] - E[3]
-    assert reflect(r, E[2]) == H - E[1] - E[3]
-    assert reflect(r, E[3]) == H - E[1] - E[2]
-    assert reflect(r, E[4]) == E[4]
+    assert _reflect(H, r) == 2 * H - E[1] - E[2] - E[3]
+    assert _reflect(E[1], r) == H - E[2] - E[3]
+    assert _reflect(E[2], r) == H - E[1] - E[3]
+    assert _reflect(E[3], r) == H - E[1] - E[2]
+    assert _reflect(E[4], r) == E[4]
 
 
 def test_reflect_fixes_K_and_negates_root():
     for r in enumerate_roots():
-        assert reflect(r, K) == K
-        assert reflect(r, r) == -r
-
-
-def test_reflect_rejects_non_root():
-    with pytest.raises(ValueError):
-        reflect(H, E[1])
+        assert _reflect(K, r) == K
+        assert _reflect(r, r) == -r
 
 
 @given(div_classes, div_classes)
@@ -167,13 +163,13 @@ def test_intersection_bilinear(d1, d2, d3, n):
 @settings(max_examples=60)
 @given(st.sampled_from(sorted(enumerate_roots(), key=lambda d: d.coeffs)), div_classes, div_classes)
 def test_reflection_preserves_form(r, d1, d2):
-    assert reflect(r, d1).dot(reflect(r, d2)) == d1.dot(d2)
+    assert _reflect(d1, r).dot(_reflect(d2, r)) == d1.dot(d2)
 
 
 @settings(max_examples=60)
 @given(st.sampled_from(sorted(enumerate_roots(), key=lambda d: d.coeffs)), div_classes)
 def test_reflection_involutive(r, d):
-    assert reflect(r, reflect(r, d)) == d
+    assert _reflect(_reflect(d, r), r) == d
 
 
 def test_weyl_orbit_of_one_root_is_all_roots():
