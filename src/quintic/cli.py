@@ -191,6 +191,14 @@ def cmd_report(args) -> int:
     return EXIT_PASS if report["summary"]["failed"] == 0 else EXIT_FAIL
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type of --seed: the seeds random and numpy accept."""
+    value = int(text)  # argparse reports the ValueError as an invalid value
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quintic",
@@ -199,7 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit JSON")
     parser.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help="seed for sampled checks"
+        "--seed",
+        type=non_negative_int,
+        default=DEFAULT_SEED,
+        help="seed for sampled checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -60,12 +60,20 @@ S has nonnegative coefficients.
 
 Support table.  Each type has one table keyed by the bitmask of S over
 negative_curves(t).all.  An entry is None (S not negative definite) or
-the indices of S with the adjugate and the determinant of -M_S, so that
-det * N = adj * (-b), b = (D.C) on S, is integral and ceil(N) is a floor
-division.  Entries are filled on first use, by Bareiss's fraction-free
-elimination.  The scalar h_all and the batch sweep_box run the same rounds
-over the same table; the batch groups its open rows by support mask at
-every growth step.
+the indices of S, det = det(-M_S) and two integer matrices, which are the
+one definition of a round on S.  With D the row of its coefficients and
+b = (D.C) on S, det * N = adj(-M_S) (-b) is integral, and
+
+    D @ solve = (-det * N on S, det * (D - N).C on every curve),
+    -ceil(N) @ step = (the change of D, minus the drop of A.D),
+
+with -ceil(N) = floor(-det * N / det).  The columns of solve on the curves
+outside S are the growth test of step 3, and the last column of step is
+the drop check of (d).  Entries are filled on first use: adj(-M_S) and det
+by Bareiss's fraction-free elimination, then solve and step by integer
+matrix products.  Scalar h_all applies them to one class in Python
+integers; sweep_box applies float64 copies to rows of classes, grouping
+its open rows by support mask at every growth step.
 
 Sweep pre-filter.  sweep_box needs h^0(D) and h^2(D) = h^0(K - D) on every
 class D of a box.  Since K^2 = 5, (K - D).(-K) = -5 - D.(-K), so at most
@@ -87,10 +95,10 @@ absolute curve coefficient and g the largest |C.C'|.  -M_S is positive
 definite with diagonal entries 2 and 1, so by Hadamard's inequality its
 determinant and its principal minors are at most 2^r; adj(-M_S) is
 positive definite too, so every |adj_ij| is at most 2^r.  A round on S
-computes, per row, det * N = -row @ neg_n, det * (D - N).C = row @ grow,
--ceil(N) = floor(x / det) with x = -det * N, and the change of -ceil(N) to
-the row and to A.D.  With p = 5 c m 2^r the terms add up to at most X * F,
-where
+computes, per row, row @ solve, then -ceil(N) = floor(x / det) with
+x = -det * N, and -ceil(N) @ step, on the float64 copies of the two
+integer matrices of the support table.  With p = 5 c m 2^r the terms add
+up to at most X * F, where
 
     F = max(7, |A|_1, 5 c 2^r (1 + g m^2), 1 + m p max(c, A.C)),
 
@@ -113,7 +121,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from operator import add, mul
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -198,36 +207,32 @@ def negative_curves(t: SurfaceType) -> NegativeCurveSet:
 
 
 class _Support:
-    """A negative definite support S: its curve indices, adj(-M_S) and
-    det(-M_S); the float64 matrices of a batch round on S are built on the
-    first batch round that reaches S."""
+    """A negative definite support S: its curve indices, det(-M_S) and the
+    integer matrices solve and step of a round on S (module docstring,
+    support table), as tuples of their columns; batch() makes row-major
+    float64 copies (transposed views slow the matmuls) on first use."""
 
-    __slots__ = ("idx", "adj", "det", "_batch")
+    __slots__ = ("idx", "det", "solve", "step", "_batch")
 
-    def __init__(self, idx: tuple[int, ...], adj, det: int):
+    def __init__(self, kern: "_Kernel", idx: list[int], adj, det: int):
         self.idx = idx
-        self.adj = adj
         self.det = det
+        neg_n = kern.curve_cols[:, idx] @ np.array(adj, dtype=np.int64).T
+        grow = det * kern.curve_cols + neg_n @ kern.gram_np[idx]
+        solve = np.hstack([neg_n, grow])
+        step = np.column_stack([kern.cmat[idx], kern.measure_np[idx]])
+        self.solve, self.step = (tuple(map(tuple, x.T.tolist())) for x in (solve, step))
         self._batch = None
 
-    def batch(self, kern: "_Kernel") -> tuple[np.ndarray, np.ndarray]:
-        """(solve, step): row @ solve = (-det * N, det * (D - N).C on every
-        curve), and -ceil(N) @ step = (the change of the row, minus the drop
-        of A.D)."""
+    def batch(self) -> tuple[np.ndarray, np.ndarray]:
         if self._batch is None:
-            sel = list(self.idx)
-            neg_n = kern.curve_cols[:, sel] @ np.array(self.adj, dtype=np.int64).T
-            grow = self.det * kern.curve_cols + neg_n @ kern.gram_np[sel]
-            step = np.column_stack([kern.cmat[sel], kern.measure_np[sel]])
-            self._batch = (
-                np.hstack([neg_n, grow]).astype(np.float64),
-                step.astype(np.float64),
-            )
+            rows = ([*zip(*x)] for x in (self.solve, self.step))
+            self._batch = tuple(np.array(r, dtype=np.float64) for r in rows)
         return self._batch
 
 
 def _solve_support(
-    gram, idx: tuple[int, ...]
+    gram, idx: Sequence[int]
 ) -> tuple[tuple[tuple[int, ...], ...], int] | None:
     """(adj(-M_S), det(-M_S)) for the curves idx, or None unless -M_S is
     positive definite.
@@ -307,31 +312,10 @@ class _Kernel:
 
     def support(self, mask: int) -> _Support | None:
         if mask not in self._table:
-            idx = tuple(i for i in range(len(self.curves)) if mask >> i & 1)
+            idx = [i for i in range(len(self.curves)) if mask >> i & 1]
             solved = _solve_support(self.gram, idx)
-            self._table[mask] = None if solved is None else _Support(idx, *solved)
+            self._table[mask] = None if solved is None else _Support(self, idx, *solved)
         return self._table[mask]
-
-    def negative_part(self, degs: list[int], mask: int) -> tuple[_Support | None, list[int]]:
-        """Step 3 from the curves in mask: the final support and det * N on it.
-
-        degs are the degrees D.C on all curves; the support is None when it
-        is not negative definite.
-        """
-        while True:
-            sup = self.support(mask)
-            if sup is None:
-                return None, []
-            num = [-sum(a * degs[j] for a, j in zip(row, sup.idx)) for row in sup.adj]
-            grown = mask
-            for i, row in enumerate(self.gram):
-                if not mask >> i & 1 and sup.det * degs[i] < sum(
-                    x * row[j] for x, j in zip(num, sup.idx)
-                ):
-                    grown |= 1 << i
-            if grown == mask:
-                return sup, num
-            mask = grown
 
 
 @lru_cache(maxsize=None)
@@ -339,30 +323,33 @@ def _kernel(t: SurfaceType) -> _Kernel:
     return _Kernel(t)
 
 
-
 @lru_cache(maxsize=None)
 def _h0(coeffs: tuple[int, ...], t: SurfaceType) -> tuple[int, DivClass]:
     kern = _kernel(t)
     d = DivClass(coeffs)
-    measure = d.dot(kern.measure)
     while True:
-        if d.dot(_ANTI_K) < 0 or measure < 0:
+        if d.dot(_ANTI_K) < 0 or d.dot(kern.measure) < 0:
             return 0, d
-        degs = [d.dot(c) for c in kern.curves]
-        mask = sum(1 << i for i, x in enumerate(degs) if x < 0)
+        mask = sum(1 << i for i, c in enumerate(kern.curves) if d.dot(c) < 0)
         if not mask:
             return max(chi_line(d), 0), d
-        sup, num = kern.negative_part(degs, mask)
-        if sup is None:
-            return 0, d
-        for i, x in zip(sup.idx, num):
-            d = d - (-(-x // sup.det)) * kern.curves[i]
-        drop = measure - d.dot(kern.measure)
-        if drop <= 0:
+        while True:  # step 3
+            sup = kern.support(mask)
+            if sup is None:
+                return 0, d
+            s = len(sup.idx)
+            prod = [sum(map(mul, d.coeffs, col)) for col in sup.solve]
+            grown = mask | sum(1 << i for i, x in enumerate(prod[s:]) if x < 0)
+            if grown == mask:
+                break
+            mask = grown
+        neg_ceil = [x // sup.det for x in prod[:s]]
+        *change, measure_change = (sum(map(mul, neg_ceil, col)) for col in sup.step)
+        if measure_change >= 0:
             raise ReductionDivergenceError(
                 f"Zariski round did not lower A.D at {coeffs} on {t.label}"
             )
-        measure -= drop
+        d = DivClass(tuple(map(add, d.coeffs, change)))
 
 
 def h_all(d: DivClass, t: SurfaceType) -> tuple[int, int, int]:
@@ -535,7 +522,7 @@ def _h0_rows(rows: np.ndarray, kern: _Kernel) -> np.ndarray:
                 if sup is None:
                     continue
                 s = len(sup.idx)
-                solve, step = sup.batch(kern)
+                solve, step = sup.batch()
                 prod = cur[lo:hi] @ solve
                 grown = mask | ((prod[:, s:] < 0) @ kern.bits[:m]).astype(masks.dtype)
                 masks[lo:hi] = grown

@@ -231,42 +231,8 @@ def verify_chi_identities(g: KClass) -> bool:
 # ---------------------------------------------------------------------------
 # Chern numbers of the anticanonical embedding in P^5.
 #
-# Classes live in the three-dimensional ring with basis {1, HP, pt} where HP
-# is the hyperplane class of the degree-5 embedding: HP.HP = 5 pt, HP.pt = 0.
-
-
-@dataclass(frozen=True)
-class _HClass:
-    one: Fraction
-    hp: Fraction
-    pt: Fraction
-
-    def __add__(self, other):
-        return _HClass(self.one + other.one, self.hp + other.hp, self.pt + other.pt)
-
-    def __sub__(self, other):
-        return _HClass(self.one - other.one, self.hp - other.hp, self.pt - other.pt)
-
-    def __mul__(self, other):
-        if isinstance(other, _HClass):
-            return _HClass(
-                self.one * other.one,
-                self.one * other.hp + self.hp * other.one,
-                self.one * other.pt + self.pt * other.one + 5 * self.hp * other.hp,
-            )
-        n = Fraction(other)
-        return _HClass(n * self.one, n * self.hp, n * self.pt)
-
-    __rmul__ = __mul__
-
-    def integral(self) -> int:
-        if self.pt.denominator != 1:
-            raise IntegralityError(f"degree {self.pt} is not an integer")
-        return self.pt.numerator
-
-
-def _h(one=0, hp=0, pt=0) -> _HClass:
-    return _HClass(Fraction(one), Fraction(hp), Fraction(pt))
+# Every degree-1 class below is a multiple a*HP of the hyperplane class HP
+# of the degree-5 embedding, held as the integer a; (a HP).(b HP) = 5ab.
 
 
 @dataclass(frozen=True)
@@ -286,21 +252,20 @@ def normal_bundle_cherns() -> ChernSummary:
     N(-2) -> O^5 it yields c2(F'); surface Riemann-Roch then gives the
     Hilbert polynomial of F'.
     """
-    hp = _h(hp=1)
     c2_tx = 12 * 1 - 5  # Noether with chi(O) = 1, K^2 = 5
-    c2_p5_restr = (15 * hp * hp).integral()  # degree-2 term of (1+HP)^6
-    c1_tx = hp  # anticanonical embedding: c1(T_X) = -K = HP
-    c1_n = 5 * hp  # c1(N) = c1(T_P5|X) - c1(T_X) = 6HP - HP
-    c2_n = c2_p5_restr - c2_tx - (c1_tx * c1_n).integral()
+    c2_p5_restr = 15 * 5  # degree-2 term of (1+HP)^6, 15 HP.HP
+    c1_tx = 1  # anticanonical embedding: c1(T_X) = -K = HP
+    c1_n = 6 - c1_tx  # c1(N) = c1(T_P5|X) - c1(T_X)
+    c2_n = c2_p5_restr - c2_tx - 5 * c1_tx * c1_n
     # twist N(-2): rank 3, c2(E(L)) = c2(E) + 2 c1(E).c1(L) + 3 c1(L)^2
-    c1_nm2 = c1_n + 3 * (-2) * hp
-    c2_nm2 = c2_n + 2 * (c1_n * (-2 * hp)).integral() + 3 * ((-2 * hp) * (-2 * hp)).integral()
+    c1_nm2 = c1_n + 3 * (-2)
+    c2_nm2 = c2_n + 2 * 5 * c1_n * (-2) + 3 * 5 * (-2) * (-2)
     # Whitney on 0 -> N(-2) -> O^5 -> F' -> 0
-    c1_fp = _h() - c1_nm2
-    c2_fp = -c2_nm2 - (c1_nm2 * c1_fp).integral()
+    c1_fp = -c1_nm2
+    c2_fp = -c2_nm2 - 5 * c1_nm2 * c1_fp
     # surface Riemann-Roch for rank 2 with c1(F') = -K
-    c1_sq = (c1_fp * c1_fp).integral()
-    c1_dot_k = (c1_fp * (-1 * hp)).integral()
+    c1_sq = 5 * c1_fp * c1_fp
+    c1_dot_k = 5 * c1_fp * (-1)
     const = Fraction(c1_sq - 2 * c2_fp - c1_dot_k, 2) + 2 * Fraction(5 + c2_tx, 12)
     h_fp = HilbPoly(Fraction(5), Fraction(5 - c1_dot_k), const)
     return ChernSummary(

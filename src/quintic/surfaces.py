@@ -55,28 +55,23 @@ def _surface(label: str, curves: Iterable[DivClass]) -> SurfaceType:
     return SurfaceType(label, curves, ade_type(curves))
 
 
-_CATALOG: tuple[SurfaceType, ...] | None = None
-
-
+@lru_cache(maxsize=None)
 def catalog() -> tuple[SurfaceType, ...]:
     """The twelve types (I.1)-(V.2) with their effective (-2)-classes."""
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = (
-            _surface("I.1", []),
-            _surface("I.2", [delta(1, 2, 3)]),
-            _surface("II.1", [delta(1, 2)]),
-            _surface("II.2", [delta(1, 2), delta(1, 2, 3)]),
-            _surface("II.3", [delta(1, 2), delta(1, 3, 4)]),
-            _surface("III.1", [delta(1, 2), delta(3, 4)]),
-            _surface("III.2", [delta(1, 2), delta(3, 4), delta(1, 2, 3)]),
-            _surface("IV.1", [delta(1, 2), delta(2, 3)]),
-            _surface("IV.2", [delta(1, 2, 3), delta(1, 2), delta(2, 3)]),
-            _surface("IV.3", [delta(1, 2), delta(2, 3), delta(1, 2, 4)]),
-            _surface("V.1", [delta(1, 2), delta(2, 3), delta(3, 4)]),
-            _surface("V.2", [delta(1, 2), delta(2, 3), delta(3, 4), delta(1, 2, 3)]),
-        )
-    return _CATALOG
+    return (
+        _surface("I.1", []),
+        _surface("I.2", [delta(1, 2, 3)]),
+        _surface("II.1", [delta(1, 2)]),
+        _surface("II.2", [delta(1, 2), delta(1, 2, 3)]),
+        _surface("II.3", [delta(1, 2), delta(1, 3, 4)]),
+        _surface("III.1", [delta(1, 2), delta(3, 4)]),
+        _surface("III.2", [delta(1, 2), delta(3, 4), delta(1, 2, 3)]),
+        _surface("IV.1", [delta(1, 2), delta(2, 3)]),
+        _surface("IV.2", [delta(1, 2, 3), delta(1, 2), delta(2, 3)]),
+        _surface("IV.3", [delta(1, 2), delta(2, 3), delta(1, 2, 4)]),
+        _surface("V.1", [delta(1, 2), delta(2, 3), delta(3, 4)]),
+        _surface("V.2", [delta(1, 2), delta(2, 3), delta(3, 4), delta(1, 2, 3)]),
+    )
 
 
 def surface_type(label: str) -> SurfaceType:

@@ -93,6 +93,19 @@ def test_verify_seed_echoed(capsys):
     assert json.loads(out)["seed"] == 99
 
 
+@pytest.mark.parametrize(
+    "argv", [["verify"], ["verify", "cohomology"], ["--json", "report"]], ids=" ".join
+)
+def test_negative_seed_exits_2_with_an_error_line(capsys, argv):
+    # numpy's default_rng in sweep_box refuses a negative seed; bad input
+    # exits 2 at the parser, not 1 as a failed verification
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--seed", "-1", *argv])
+    assert excinfo.value.code == 2
+    _, err = capsys.readouterr()
+    assert "error: argument --seed: invalid non_negative_int value: '-1'" in err
+
+
 def test_bott_section_weight(capsys):
     code, out, _ = run(capsys, "--json", "bott", "1", "0", "0", "0", "0")
     assert code == 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quintic.cohomology import (
@@ -356,6 +356,19 @@ def test_batch_rows_at_the_float_limit_match_scalar(label):
         assert got[0] == (L + 1) * (L + 2) // 2  # h^0(O(L h)) > 2^49
     finally:
         _h0.cache_clear()
+
+
+@pytest.mark.parametrize("label", [t.label for t in catalog()])
+@settings(deadline=None)
+@given(coeffs=st.tuples(*[st.integers(-64, 64)] * 5))
+@example(coeffs=(64, -64, -64, -64, -64))
+@example(coeffs=(-64, 64, 64, 64, 64))
+def test_scalar_and_batch_rounds_agree_on_point_query_classes(label, coeffs):
+    # both forms apply the integer solve and step matrices of the support
+    # table; |coeff| <= 64 is the range of the point_queries benchmark
+    t = surface_type(label)
+    rows = np.array([coeffs], dtype=np.float64)
+    assert _h0_rows(rows, _kernel(t)).tolist() == [_h0(coeffs, t)[0]]
 
 
 def test_sweep_prefilter_drops_only_rows_with_no_sections():
