@@ -419,7 +419,7 @@ class ChainCertificate:
         return self.certified
 
 
-def r1_chain_vanishing(p: ChainProblem, levels: int | None = None) -> ChainCertificate:
+def r1_chain_vanishing(p: ChainProblem) -> ChainCertificate:
     """Certify R^1 f_* O(D) = 0 along the chain from the degree data.
 
     Simulates multiplicity levels m = 1 .. n+2; per-step degrees are
@@ -429,11 +429,9 @@ def r1_chain_vanishing(p: ChainProblem, levels: int | None = None) -> ChainCerti
     """
     n, l = p.n, p.l
     schedule = list(range(l, n + 1)) + list(range(l - 1, 0, -1))
-    if levels is None:
-        levels = n + 2
     w = [0] * (n + 2)  # 1-based multiplicities with zero padding
     previous: dict[int, int] = {}
-    for level in range(1, levels + 1):
+    for level in range(1, n + 3):
         for j in schedule:
             against = w[j - 1] + w[j + 1] - 2 * w[j]
             deg = p.degrees[j - 1] - against

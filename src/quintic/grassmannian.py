@@ -8,8 +8,11 @@ value the irreducible of highest weight sort(alpha + rho) - rho.
 Bundles on Gr(2, 5) are stored as Z-linear combinations of irreducible
 blocks L^gamma R* (x) L^beta Rperp with gamma, beta dominant; a block is
 normalized so that beta ends in 0 (det Rperp = O(-1) folds the rest into
-gamma).  Tensor products decompose blockwise: rank-2 blocks by the
-Clebsch-Gordan rule, rank-3 blocks by Littlewood-Richardson counting.
+gamma).  Tensor products decompose blockwise, the GL(2) and GL(3)
+factors alike, by the Brauer-Klimyk rule (Klimyk 1968): shift the highest
+weight of one factor by each weight of the other and straighten the sum
+with the same dotted Weyl action, so `bott` is the one straightening
+algorithm here.
 
 Everything here implements characteristic-zero semantics.
 """
@@ -45,7 +48,6 @@ __all__ = [
     "kapranov_collection",
     "verify_appendix_identities",
     "pnr_criterion",
-    "clebsch_gordan",
     "lr_coefficients",
 ]
 
@@ -103,115 +105,46 @@ def bott(alpha: tuple[int, ...], n: int) -> BottResult | None:
 # Tensor decompositions.
 
 
-def clebsch_gordan(a: tuple[int, int], b: tuple[int, int]) -> Counter:
-    """L^a (x) L^b for GL(2): one summand per k = 0 .. min of the widths."""
-    if a[0] < a[1] or b[0] < b[1]:
-        raise ValueError("blocks must be dominant")
-    out = Counter()
-    for k in range(min(a[0] - a[1], b[0] - b[1]) + 1):
-        out[(a[0] + b[0] - k, a[1] + b[1] + k)] += 1
-    return out
+def _gt_weights(row: tuple[int, ...]):
+    """Yield the weights of L^row, one per Gelfand-Tsetlin pattern.
 
-
-def _candidate_shapes(lam, mu, rows):
-    total = sum(lam) + sum(mu)
-    bound = lam[0] + mu[0]
-
-    def rec(prefix, remaining):
-        i = len(prefix)
-        if i == rows:
-            if remaining == 0:
-                yield tuple(prefix)
-            return
-        hi = min(bound, prefix[-1] if prefix else bound, remaining)
-        lo = max(lam[i], 0)
-        for v in range(hi, lo - 1, -1):
-            if sum(lam[i + 1 :]) <= remaining - v:
-                yield from rec(prefix + [v], remaining - v)
-
-    yield from rec([], total)
-
-
-def _lr_tableau_count(lam, mu, nu) -> int:
-    """Number of LR skew tableaux of shape nu/lam and content mu.
-
-    Cells are filled in reading-word order (each row right to left, rows
-    top to bottom) so the ballot condition can be checked prefix by prefix;
-    rows must weakly increase, columns strictly increase.
+    A pattern is a sequence of rows, each one entry shorter than the row
+    above and interlacing it (row[i] >= below[i] >= row[i+1]); a row's
+    weight entry is its sum minus the sum of the row below.
     """
-    rows = len(nu)
-    if any(nu[i] < lam[i] for i in range(rows)):
-        return 0
-    cells = [(i, j) for i in range(rows) for j in range(nu[i] - 1, lam[i] - 1, -1)]
-    k = len(mu)
-    remaining = list(mu)
-    grid: dict[tuple[int, int], int] = {}
-    count = 0
-
-    def rec(idx, counts):
-        nonlocal count
-        if idx == len(cells):
-            count += 1
-            return
-        i, j = cells[idx]
-        right = grid.get((i, j + 1))
-        above = grid.get((i - 1, j))
-        for entry in range(k):
-            if remaining[entry] == 0:
-                continue
-            if right is not None and entry > right:
-                continue
-            if above is not None and entry <= above:
-                continue
-            if entry > 0 and counts[entry - 1] <= counts[entry]:
-                continue
-            grid[(i, j)] = entry
-            remaining[entry] -= 1
-            counts[entry] += 1
-            rec(idx + 1, counts)
-            counts[entry] -= 1
-            remaining[entry] += 1
-            del grid[(i, j)]
-
-    rec(0, [0] * k)
-    return count
+    if not row:
+        yield ()
+        return
+    for below in itertools.product(
+        *(range(row[i + 1], row[i] + 1) for i in range(len(row) - 1))
+    ):
+        for w in _gt_weights(below):
+            yield w + (sum(row) - sum(below),)
 
 
 @lru_cache(maxsize=None)
 def lr_coefficients(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple:
-    """Littlewood-Richardson expansion of L^lam (x) L^mu for partitions.
+    """Expansion of L^lam (x) L^mu for dominant GL(n) weights of length n.
 
-    Both inputs are partitions padded to the same number of rows; returns
-    ((nu, coefficient), ...) over shapes with at most that many rows.
+    Brauer-Klimyk (Racah-Speiser) rule, Klimyk (1968): the product is the
+    sum over the weights w of L^mu, with multiplicity, of (-1)^l L^nu where
+    bott(lam + w, n) = (l, nu); weights on which bott vanishes drop out.
+    Returns ((nu, coefficient), ...) with nonzero coefficients, nu
+    decreasing.
     """
-    rows = len(lam)
-    if len(mu) != rows:
-        raise ValueError("partitions must be padded to equal length")
-    for part in (lam, mu):
-        if any(part[i] < part[i + 1] for i in range(rows - 1)) or part[-1] < 0:
-            raise ValueError(f"{part} is not a partition")
-    out = []
-    for nu in _candidate_shapes(lam, mu, rows):
-        c = _lr_tableau_count(lam, mu, nu)
-        if c:
-            out.append((nu, c))
-    total = sum(c * weyl_dim(nu, rows) for nu, c in out)
-    if total != weyl_dim(lam, rows) * weyl_dim(mu, rows):
-        raise DimensionError(f"L^{lam} (x) L^{mu}: summands have dimension {total}")
-    return tuple(out)
-
-
-def _tensor_rank3(a: tuple[int, int, int], b: tuple[int, int, int]) -> Counter:
-    """L^a (x) L^b for GL(3) dominant weights, via a det shift to partitions."""
-    shift_a = min(a[2], 0)
-    shift_b = min(b[2], 0)
-    lam = tuple(x - shift_a for x in a)
-    mu = tuple(x - shift_b for x in b)
-    back = shift_a + shift_b
+    n = len(lam)
+    # weyl_dim raises ValueError on a wrong length or a non-dominant weight
+    dims = weyl_dim(lam, n) * weyl_dim(mu, n)
     out = Counter()
-    for nu, c in lr_coefficients(lam, mu):
-        out[tuple(x + back for x in nu)] += c
-    return out
+    for w in _gt_weights(mu):
+        res = bott(tuple(a + b for a, b in zip(lam, w)), n)
+        if res is not None:
+            out[res.weight] += (-1) ** res.degree
+    terms = tuple(sorted(((nu, c) for nu, c in out.items() if c), reverse=True))
+    total = sum(c * weyl_dim(nu, n) for nu, c in terms)
+    if total != dims:
+        raise DimensionError(f"L^{lam} (x) L^{mu}: summands have dimension {total}")
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +182,8 @@ class HomBundle:
         return cls(items)
 
     @classmethod
-    def block(cls, gamma, beta=(0, 0, 0), mult: int = 1) -> "HomBundle":
-        return cls.from_counter(Counter({_normalize_block(gamma, beta): mult}))
+    def block(cls, gamma, beta=(0, 0, 0)) -> "HomBundle":
+        return cls.from_counter(Counter({_normalize_block(gamma, beta): 1}))
 
     def counts(self) -> Counter:
         return Counter(dict(self.summands))
@@ -320,14 +253,13 @@ def dual(x: HomBundle) -> HomBundle:
 
 
 def tensor_decompose(a: HomBundle, b: HomBundle) -> HomBundle:
-    """Blockwise Littlewood-Richardson product, bilinear over multiplicities."""
+    """Blockwise product, bilinear over multiplicities: lr_coefficients
+    expands the GL(2) factors gamma and the GL(3) factors beta."""
     out = Counter()
     for (g1, b1), m1 in a.summands:
         for (g2, b2), m2 in b.summands:
-            gammas = clebsch_gordan(g1, g2)
-            betas = _tensor_rank3(b1, b2)
-            for g, cg in gammas.items():
-                for bb, cb in betas.items():
+            for g, cg in lr_coefficients(g1, g2):
+                for bb, cb in lr_coefficients(b1, b2):
                     out[_normalize_block(g, bb)] += m1 * m2 * cg * cb
     return HomBundle.from_counter(out)
 

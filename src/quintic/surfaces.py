@@ -90,23 +90,22 @@ def ade_type(curves: Iterable[DivClass]) -> tuple[int, ...]:
     curves = sorted(set(curves), key=lambda d: d.coeffs)
     for c in curves:
         if not is_root(c):
-            raise ChainStructureError(f"{c!r} is not a (-2)-class")
+            raise ChainStructureError(f"{c.to_json()} is not a (-2)-class")
     n = len(curves)
     adj: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             m = curves[i].dot(curves[j])
             if m not in (0, 1):
-                raise ChainStructureError(
-                    f"not simply-laced-chain: {curves[i]!r}.{curves[j]!r} = {m}"
-                )
+                a, b = curves[i].to_json(), curves[j].to_json()
+                raise ChainStructureError(f"not simply-laced-chain: {a}.{b} = {m}")
             if m == 1:
                 adj[i].append(j)
                 adj[j].append(i)
     for i, nbrs in enumerate(adj):
         if len(nbrs) >= 3:
             raise ChainStructureError(
-                f"not simply-laced-chain: {curves[i]!r} meets {len(nbrs)} curves"
+                f"not simply-laced-chain: {curves[i].to_json()} meets {len(nbrs)} curves"
             )
     lengths = []
     seen = [False] * n

@@ -62,6 +62,10 @@ def test_classify_non_chain_exits_2(capsys):
     )
     assert code == 2
     assert "chain" in err
+    # e2-e1 and e1-e2 meet twice; classes are named in the input's list form
+    code, _, err = run(capsys, "classify", "[[0,1,-1,0,0],[0,-1,1,0,0]]")
+    assert code == 2
+    assert "[0, -1, 1, 0, 0].[0, 1, -1, 0, 0] = 2" in err
 
 
 def test_verify_single_suite(capsys):

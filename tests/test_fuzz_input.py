@@ -6,12 +6,13 @@ import contextlib
 import io
 import json
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quintic.cli import EXIT_USAGE, main
+from quintic.cli import EXIT_USAGE, build_parser, main
 from quintic.euler import KClass
 from quintic.lattice import DivClass
+from quintic.suites import SUITE_NAMES
 
 json_values = st.recursive(
     st.none()
@@ -101,6 +102,39 @@ def test_cli_argv_exits_0_or_2_with_an_error_line(argv):
     assert code in (0, EXIT_USAGE), (argv, code, err)
     if code == EXIT_USAGE:
         assert "error:" in err, (argv, err)
+
+
+global_options = st.lists(
+    st.just(["--json"])
+    | (st.integers().map(str) | tokens).map(lambda seed: ["--seed", seed])
+    | tokens.map(lambda t: [t]),
+    max_size=3,
+).map(lambda groups: [t for group in groups for t in group])
+suite_argvs = st.tuples(
+    global_options,
+    st.sampled_from(["verify", "report"]),
+    st.lists(st.sampled_from([*SUITE_NAMES, "all"]) | tokens, max_size=2),
+).map(lambda p: [*p[0], p[1], *p[2]])
+
+
+def _asks_for_help(token):
+    return token.startswith("-h") or (len(token) > 2 and "--help".startswith(token))
+
+
+@settings(max_examples=400, deadline=None)
+@given(suite_argvs)
+def test_verify_and_report_argv_parse_or_exit_2(argv):
+    # parse only: running a suite per example would cost seconds
+    assume(not any(_asks_for_help(t) for t in argv))
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        assert exc.code == EXIT_USAGE, argv
+        return
+    assert args.seed >= 0, argv
+    if args.command == "verify":
+        assert args.suite in (*SUITE_NAMES, "all"), argv
 
 
 def test_cli_refuses_json_past_the_parser_limits():

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -13,7 +14,6 @@ from quintic.grassmannian import (
     HomBundle,
     bott,
     chi_vector,
-    clebsch_gordan,
     dual,
     kapranov_collection,
     lefschetz_objects,
@@ -39,18 +39,19 @@ def bundle_rank(x):
     return sum(m * weyl_dim(g, 2) * weyl_dim(b, 3) for (g, b), m in x.summands)
 
 
-def count_ssyt(shape, n):
-    """Independent oracle: semistandard tableaux of a partition shape with
-    entries in 1..n, by direct backtracking."""
+def ssyt_contents(shape, n):
+    """Independent oracle: contents (number of 1s, ..., number of ns) of the
+    semistandard tableaux of a partition shape with entries in 1..n, with
+    multiplicity, by direct backtracking."""
     shape = [p for p in shape if p > 0]
     cells = [(i, j) for i, row in enumerate(shape) for j in range(row)]
-    count = 0
+    contents = Counter()
+    content = [0] * n
     grid = {}
 
     def rec(idx):
-        nonlocal count
         if idx == len(cells):
-            count += 1
+            contents[tuple(content)] += 1
             return
         i, j = cells[idx]
         lo = 1
@@ -60,16 +61,31 @@ def count_ssyt(shape, n):
             lo = max(lo, grid[(i - 1, j)] + 1)
         for v in range(lo, n + 1):
             grid[(i, j)] = v
+            content[v - 1] += 1
             rec(idx + 1)
+            content[v - 1] -= 1
         grid.pop((i, j), None)
 
     rec(0)
-    return count
+    return contents
 
 
-def schur_char_2(a, b):
-    """Character of L^(a,b) C^2 as a Counter of exponent pairs."""
-    return Counter({(a - k, b + k): 1 for k in range(a - b + 1)})
+def count_ssyt(shape, n):
+    return sum(ssyt_contents(shape, n).values())
+
+
+@lru_cache(maxsize=None)
+def character(lam):
+    """Character of L^lam C^n as a Counter of weights: the tableau contents
+    of the partition lam - lam[-1], shifted back by det^lam[-1]."""
+    shift = lam[-1]
+    shape = [x - shift for x in lam]
+    return Counter(
+        {
+            tuple(c + shift for c in content): m
+            for content, m in ssyt_contents(shape, len(lam)).items()
+        }
+    )
 
 
 def test_weyl_dim_basics():
@@ -160,44 +176,35 @@ def test_bott_serre_duality_on_random_blocks():
             assert dres.dim == res.dim
 
 
-def test_clebsch_gordan_matches_character_arithmetic():
-    for a in itertools.product(range(3, -3, -1), repeat=2):
-        if a[0] < a[1]:
-            continue
-        for b in itertools.product(range(3, -3, -1), repeat=2):
-            if b[0] < b[1]:
-                continue
+def test_lr_coefficients_matches_character_oracle():
+    # multiply characters, then peel off the lexicographically largest
+    # weight, which is the highest weight of a summand
+    for n in (2, 3):
+        weights = [
+            lam
+            for lam in itertools.product(range(2, -3, -1), repeat=n)
+            if all(lam[i] >= lam[i + 1] for i in range(n - 1))
+        ]
+        for lam, mu in itertools.product(weights, repeat=2):
             product = Counter()
-            for (x1, y1), c1 in schur_char_2(*a).items():
-                for (x2, y2), c2 in schur_char_2(*b).items():
-                    product[(x1 + x2, y1 + y2)] += c1 * c2
-            expected = Counter()
+            for x, a in character(lam).items():
+                for y, b in character(mu).items():
+                    product[tuple(p + q for p, q in zip(x, y))] += a * b
+            expected = {}
             while product:
-                lead = max((m for m, c in product.items() if c), default=None)
-                if lead is None:
-                    break
+                lead = max(product)
                 mult = product[lead]
-                expected[lead] += mult
-                for m, c in schur_char_2(*lead).items():
-                    product[m] -= mult * c
-                product = Counter({m: c for m, c in product.items() if c})
-            assert clebsch_gordan(a, b) == expected, (a, b)
+                expected[lead] = mult
+                for x, c in character(lead).items():
+                    product[x] -= mult * c
+                product = Counter({x: c for x, c in product.items() if c})
+            assert dict(lr_coefficients(lam, mu)) == expected, (lam, mu)
 
 
-def test_lr_matches_clebsch_gordan_on_two_rows():
-    # the generic LR enumeration agrees with the closed rank-2 rule
-    for a in [(2, 0), (3, 1), (2, 2), (4, 0)]:
-        for b in [(1, 0), (2, 1), (3, 0)]:
-            two_row = {
-                (nu[0], nu[1]): c
-                for nu, c in lr_coefficients((a[0], a[1], 0), (b[0], b[1], 0))
-                if nu[2] == 0
-            }
-            cg = clebsch_gordan(a, b)
-            for nu, c in two_row.items():
-                assert cg[nu] == c
-            # summands with a third row correspond to det-twists invisible
-            # to GL(2); total dimension still matches by the lr invariant
+def test_lr_coefficients_rejects_non_dominant_or_unequal_weights():
+    for lam, mu in [((0, 1), (1, 0)), ((1, 0, 0), (0, 1, 0)), ((1, 0), (1, 0, 0))]:
+        with pytest.raises(ValueError):
+            lr_coefficients(lam, mu)
 
 
 def test_lr_known_example_with_multiplicity():
