@@ -17,7 +17,7 @@ import sys
 
 from .euler import KClass, euler_pair
 from .grassmannian import bott, kapranov_collection, lefschetz_objects, rhom_chi
-from .lattice import DivClass, is_root
+from .lattice import DivClass
 from .mutations import (
     ExcCollection,
     gram as gram_matrix,
@@ -76,9 +76,6 @@ def _ade_label(ade: tuple[int, ...]) -> str:
 
 def cmd_classify(args) -> int:
     curves = _parse_curves(args.curves)
-    for c in curves:
-        if not is_root(c):
-            raise InputError(f"non-root input: {c.to_json()}")
     try:
         ade = ade_type(curves)
     except ChainStructureError as exc:

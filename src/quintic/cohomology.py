@@ -397,16 +397,13 @@ def f_tilde_cohomology(t: SurfaceType) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class ChainProblem:
-    n: int
-    degrees: tuple[int, ...]
+    degrees: tuple[int, ...]  # one per curve of the chain, so n = len(degrees)
     l: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= 4:
+        if not 1 <= len(self.degrees) <= 4:
             raise ValueError("chain length must be 1..4")
-        if len(self.degrees) != self.n:
-            raise ValueError("need one degree per curve")
-        if not 1 <= self.l <= self.n:
+        if not 1 <= self.l <= len(self.degrees):
             raise ValueError("distinguished index out of range")
 
 
@@ -414,9 +411,6 @@ class ChainProblem:
 class ChainCertificate:
     certified: bool
     failing_step: tuple[int, int, int] | None = None  # (level, curve, degree)
-
-    def __bool__(self) -> bool:
-        return self.certified
 
 
 def r1_chain_vanishing(p: ChainProblem) -> ChainCertificate:
@@ -427,7 +421,7 @@ def r1_chain_vanishing(p: ChainProblem) -> ChainCertificate:
     level, since a full round of the chain has nonpositive degree on each
     curve).
     """
-    n, l = p.n, p.l
+    n, l = len(p.degrees), p.l
     schedule = list(range(l, n + 1)) + list(range(l - 1, 0, -1))
     w = [0] * (n + 2)  # 1-based multiplicities with zero padding
     previous: dict[int, int] = {}

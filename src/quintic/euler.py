@@ -204,9 +204,6 @@ class HilbPoly:
 
     __rmul__ = __mul__
 
-    def to_json(self) -> list[list[int]]:
-        return [[c.numerator, c.denominator] for c in (self.c2, self.c1, self.c0)]
-
 
 def hilbert_poly(c: KClass) -> HilbPoly:
     """Hilbert polynomial t -> chi(c twisted by -tK)."""

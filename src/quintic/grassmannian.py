@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+from .mutations import ExcCollection, assert_unitriangular, run_walk
+
 __all__ = [
     "DimensionError",
     "weyl_dim",
@@ -46,6 +48,7 @@ __all__ = [
     "lefschetz_objects",
     "verify_lefschetz",
     "kapranov_collection",
+    "GR25_LEFSCHETZ",
     "verify_appendix_identities",
     "pnr_criterion",
     "lr_coefficients",
@@ -56,11 +59,11 @@ class DimensionError(ArithmeticError):
     """A dimension identity of GL(n) representations fails."""
 
 
-def weyl_dim(lam: Sequence[int], n: int) -> int:
-    """Dimension of the irreducible GL(n) module of highest weight lam."""
+def weyl_dim(lam: Sequence[int]) -> int:
+    """Dimension of the irreducible GL(n) module of highest weight lam,
+    n = len(lam)."""
     lam = tuple(lam)
-    if len(lam) != n:
-        raise ValueError(f"weight length {len(lam)} != {n}")
+    n = len(lam)
     if any(lam[i] < lam[i + 1] for i in range(n - 1)):
         raise ValueError(f"{lam} is not dominant")
     num = den = 1
@@ -98,7 +101,7 @@ def bott(alpha: tuple[int, ...], n: int) -> BottResult | None:
         1 for i, j in itertools.combinations(range(n), 2) if v[i] < v[j]
     )
     lam = tuple(x - r for x, r in zip(sorted(v, reverse=True), rho))
-    return BottResult(inversions, lam, weyl_dim(lam, n))
+    return BottResult(inversions, lam, weyl_dim(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +136,17 @@ def lr_coefficients(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple:
     decreasing.
     """
     n = len(lam)
-    # weyl_dim raises ValueError on a wrong length or a non-dominant weight
-    dims = weyl_dim(lam, n) * weyl_dim(mu, n)
+    if len(mu) != n:
+        raise ValueError(f"weights {lam} and {mu} differ in length")
+    # weyl_dim raises ValueError on a non-dominant weight
+    dims = weyl_dim(lam) * weyl_dim(mu)
     out = Counter()
     for w in _gt_weights(mu):
         res = bott(tuple(a + b for a, b in zip(lam, w)), n)
         if res is not None:
             out[res.weight] += (-1) ** res.degree
     terms = tuple(sorted(((nu, c) for nu, c in out.items() if c), reverse=True))
-    total = sum(c * weyl_dim(nu, n) for nu, c in terms)
+    total = sum(c * weyl_dim(nu) for nu, c in terms)
     if total != dims:
         raise DimensionError(f"L^{lam} (x) L^{mu}: summands have dimension {total}")
     return terms
@@ -211,12 +216,6 @@ class HomBundle:
 
     __rmul__ = __mul__
 
-    def to_json(self) -> list:
-        return [
-            {"gamma": list(g), "beta": list(b), "mult": m}
-            for (g, b), m in self.summands
-        ]
-
 
 def o(k: int = 0) -> HomBundle:
     return HomBundle.block((k, k))
@@ -277,12 +276,6 @@ class CohProfile:
     @classmethod
     def of(cls, data: dict[int, int]) -> "CohProfile":
         return cls(tuple(sorted((d, v) for d, v in data.items() if v != 0)))
-
-    def is_zero(self) -> bool:
-        return not self.degrees
-
-    def dim(self, degree: int) -> int:
-        return dict(self.degrees).get(degree, 0)
 
     def euler(self) -> int:
         return sum((-1) ** d * v for d, v in self.degrees)
@@ -375,36 +368,21 @@ def chi_vector(x: HomBundle) -> tuple[int, ...]:
 
 
 def verify_lefschetz() -> dict:
-    """Pairwise RHom for the ten-object collection.
-
-    Checks RHom(E_i, E_j) = 0 for i > j and RHom(E_i, E_i) = k; returns the
-    full table of profiles.
-    """
+    """RHom(E_i, E_j) = 0 for i > j and RHom(E_i, E_i) = k on the ten-object
+    collection; lists each pair that fails with its profile."""
     objects = lefschetz_objects()
-    table = []
     violations = []
     for i, (label_i, x) in enumerate(objects):
-        row = []
-        for j, (label_j, y) in enumerate(objects):
+        for j, (label_j, y) in enumerate(objects[: i + 1]):
             profile = rhom(x, y)
-            row.append(profile.to_json())
-            if i > j and not (isinstance(profile, CohProfile) and profile.is_zero()):
+            expected = CohProfile.of({0: 1}) if i == j else CohProfile(())
+            if profile != expected:
                 violations.append((label_i, label_j, profile.to_json()))
-            if i == j and profile != CohProfile.of({0: 1}):
-                violations.append((label_i, label_j, profile.to_json()))
-        table.append(row)
-    return {
-        "ok": not violations,
-        "violations": violations,
-        "labels": [label for label, _ in objects],
-        "table": table,
-    }
+    return {"ok": not violations, "violations": violations}
 
 
-def kapranov_collection():
+def kapranov_collection() -> ExcCollection:
     """Ten-object starting collection on Gr(2,5), as a mutable collection."""
-    from .mutations import ExcCollection
-
     objects = (
         ("O", o(0)),
         ("R*", rstar(0)),
@@ -420,9 +398,19 @@ def kapranov_collection():
     return ExcCollection(objects, rhom_chi)
 
 
-def _same_chi_vector_up_to_sign(x: HomBundle, y: HomBundle) -> bool:
-    vx, vy = chi_vector(x), chi_vector(y)
-    return vx == vy or vx == tuple(-v for v in vy)
+# From the Kapranov collection to the rectangular two-block collection
+# lefschetz_objects(): Sym^3 R* travels to the end (becoming O(4)),
+# Sym^2 R* moves five slots right (becoming R*(3)), Sym^2 R*(1) travels to
+# the end (becoming R*(4)).
+GR25_LEFSCHETZ: tuple[dict, ...] = (
+    {"kind": "transpose-to-end", "index": 5},
+    {"kind": "right", "index": 3},
+    {"kind": "right", "index": 4},
+    {"kind": "right", "index": 5},
+    {"kind": "right", "index": 6},
+    {"kind": "right", "index": 7},
+    {"kind": "transpose-to-end", "index": 5},
+)
 
 
 def verify_appendix_identities() -> dict:
@@ -434,8 +422,6 @@ def verify_appendix_identities() -> dict:
     K1 = V . Sym^2 R*(1) - Sym^3 R*, K2 = Lambda^2 V . R*(2) - K1,
     L = V . R*(1) - Sym^2 R*.
     """
-    from .mutations import GR25_LEFSCHETZ, assert_unitriangular, replay
-
     n_cls = 10 * o(0) - o(1)
     m_cls = 10 * o(0) - rperp(1)
     k1 = 5 * sym_rstar(2, 1) - sym_rstar(3)
@@ -454,32 +440,28 @@ def verify_appendix_identities() -> dict:
         "RHom(Rperp(3), R*(2)) = 0": rhom(rperp(3), rstar(2)) == CohProfile(()),
     }
 
-    start = kapranov_collection()
-    assert_unitriangular(start)
-    final = replay(start, GR25_LEFSCHETZ, check=assert_unitriangular)
-    target = lefschetz_objects()
-    slots = {}
-    for i, ((label, expected), got) in enumerate(zip(target, final.classes())):
-        slots[i] = _same_chi_vector_up_to_sign(got, expected)
+    target = ExcCollection(lefschetz_objects(), rhom_chi)
+    slots = run_walk(
+        kapranov_collection(), GR25_LEFSCHETZ, target, chi_vector, assert_unitriangular
+    )
     checks["mutation endpoint O(4)"] = slots[8]
     checks["mutation endpoint R*(3)"] = slots[7]
     checks["mutation endpoint R*(4)"] = slots[9]
-    checks["mutation walk matches collection"] = all(slots.values())
+    checks["mutation walk matches collection"] = all(slots)
     return {"ok": all(checks.values()), "checks": checks}
 
 
-def pnr_criterion(gamma_r: int, beta: Sequence[int], n: int, r: int) -> bool:
+def pnr_criterion(gamma_r: int, beta: Sequence[int]) -> bool:
     """Sufficient vanishing test on the projective space P^(n-r).
 
-    The bundle O(gamma_r) (x) L^beta N on P^(n-r), with N the twisted
-    cotangent bundle, is the weight (gamma_r, beta) on Gr(1, n-r+1); if all
-    its cohomology vanishes, so does every H^i of L^gamma R* (x) L^beta
-    Rperp on Gr(r, n), in any characteristic.  The test is one-directional:
-    a False verdict decides nothing.
+    On Gr(r, n), beta has length n - r.  The bundle O(gamma_r) (x) L^beta N
+    on P^(n-r), with N the twisted cotangent bundle, is the weight
+    (gamma_r, beta) on Gr(1, n-r+1); if all its cohomology vanishes, so
+    does every H^i of L^gamma R* (x) L^beta Rperp on Gr(r, n), in any
+    characteristic.  The test is one-directional: a False verdict decides
+    nothing.
     """
     beta = tuple(beta)
-    if len(beta) != n - r:
-        raise ValueError("beta must have length n - r")
     if any(beta[i] < beta[i + 1] for i in range(len(beta) - 1)):
         raise ValueError(f"{beta} is not dominant")
-    return bott((gamma_r,) + beta, n - r + 1) is None
+    return bott((gamma_r,) + beta, len(beta) + 1) is None

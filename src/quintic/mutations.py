@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .euler import KClass, euler_pair, f_tilde_class, line_bundle_class, structure_class
 from .lattice import E, H, K, ZERO, DivClass
-from .surfaces import SurfaceType, a3_block_classes
+from .surfaces import SurfaceType, a3_block_classes, a3_chains
 
 __all__ = [
     "ExcCollection",
@@ -31,15 +31,13 @@ __all__ = [
     "assert_unitriangular",
     "is_unitriangular",
     "replay",
-    "same_up_to_sign",
+    "run_walk",
     "SODWDP_DERIVATION",
-    "GR25_LEFSCHETZ",
     "sodwdp_start_collection",
     "sodwdp_target_collection",
     "run_sodwdp_derivation",
     "contraction_compatibility",
     "hermite_normal_form",
-    "span_signature",
 ]
 
 
@@ -48,7 +46,7 @@ class MutationError(ValueError):
 
 
 class UnmatchedCurveError(ValueError):
-    """A (-2)-curve of the surface type matched by no pair in the block."""
+    """A (-2)-curve of the surface type that no step of its chains realizes."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,8 +150,29 @@ def replay(c: ExcCollection, script: Sequence[dict], check=None) -> ExcCollectio
     return c
 
 
-def same_up_to_sign(x, y) -> bool:
-    return x == y or x == -y
+def run_walk(
+    start: ExcCollection,
+    script: Sequence[dict],
+    target: ExcCollection,
+    key: Callable[[object], tuple[int, ...]],
+    check: Callable[[ExcCollection], object],
+) -> tuple[bool, ...]:
+    """Replay script from start and compare the end with target slot by slot.
+
+    ``check`` is called on start and after every atomic mutation.  A slot is
+    True when ``key`` of the end class is ``key`` of the target class or its
+    negative: the categorical mutation shifts objects, so classes match up
+    to a sign per slot.
+    """
+    if len(start) != len(target):
+        raise MutationError(f"walk of length {len(start)} to a target of {len(target)}")
+    check(start)
+    end = replay(start, script, check=check)
+    slots = []
+    for x, y in zip(end.classes(), target.classes()):
+        kx, ky = key(x), key(y)
+        slots.append(kx == ky or kx == tuple(-v for v in ky))
+    return tuple(slots)
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +218,6 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...],
     return tuple(tuple(r) for r in mat[:pivot_row])
 
 
-def span_signature(c: ExcCollection, vectorize: Callable[[object], Sequence[int]]):
-    return hermite_normal_form([vectorize(cls) for cls in c.classes()])
-
-
 # ---------------------------------------------------------------------------
 # The derivation of the three-block decomposition on the blown-up plane.
 
@@ -216,20 +231,6 @@ SODWDP_DERIVATION: tuple[dict, ...] = (
     {"kind": "transpose-to-end", "index": 0},
     {"kind": "transpose-to-end", "index": 0},
     {"kind": "left", "index": 1},
-)
-
-# On Gr(2,5): from the Kapranov-style ten-object collection to the
-# rectangular two-block collection.  Sym^3 R* travels to the end (becoming
-# O(4)), Sym^2 R* moves five slots right (becoming R*(3)), Sym^2 R*(1)
-# travels to the end (becoming R*(4)).
-GR25_LEFSCHETZ: tuple[dict, ...] = (
-    {"kind": "transpose-to-end", "index": 5},
-    {"kind": "right", "index": 3},
-    {"kind": "right", "index": 4},
-    {"kind": "right", "index": 5},
-    {"kind": "right", "index": 6},
-    {"kind": "right", "index": 7},
-    {"kind": "transpose-to-end", "index": 5},
 )
 
 
@@ -254,75 +255,57 @@ def sodwdp_target_collection() -> ExcCollection:
 
 
 def run_sodwdp_derivation() -> dict:
-    """Replay SODWDP_DERIVATION and compare against the target, slot by
-    slot and up to sign; raises MutationError on any mismatch.
+    """Walk SODWDP_DERIVATION from the start to the target collection.
 
-    Every atomic mutation must keep the Gram matrix unitriangular (else
-    MutationError) and is checked to keep the integer span of the classes;
-    ``preserves_span`` reports the latter.
+    ``slots`` holds one bool per slot: the end class equals the target class
+    up to sign.  Every atomic mutation must keep the Gram matrix
+    unitriangular (else MutationError); ``preserves_span`` reports whether
+    each also kept the integer span of the classes.
     """
+
+    def span(c: ExcCollection):
+        return hermite_normal_form([x.int_vector() for x in c.classes()])
+
     start = sodwdp_start_collection()
-    assert_unitriangular(start)
-    signature = span_signature(start, KClass.int_vector)
+    start_span = span(start)
     preserves_span = True
 
     def check(c: ExcCollection) -> None:
         nonlocal preserves_span
         assert_unitriangular(c)
-        preserves_span &= span_signature(c, KClass.int_vector) == signature
+        preserves_span &= span(c) == start_span
 
-    final = replay(start, SODWDP_DERIVATION, check=check)
     target = sodwdp_target_collection()
-    mismatches = [
-        {"slot": i, "got": x.to_json(), "expected": y.to_json()}
-        for i, (x, y) in enumerate(zip(final.classes(), target.classes()))
-        if not same_up_to_sign(x, y)
-    ]
-    if mismatches:
-        raise MutationError(f"derivation mismatch: {mismatches}")
-    return {
-        "steps": len(SODWDP_DERIVATION),
-        "final_labels": final.labels(),
-        "matches_target": True,
-        "preserves_span": preserves_span,
-    }
+    slots = run_walk(start, SODWDP_DERIVATION, target, KClass.int_vector, check)
+    return {"slots": slots, "preserves_span": preserves_span}
 
 
 # ---------------------------------------------------------------------------
-# Compatibility with the contraction: every effective (-2)-curve is the
-# difference of two members of the big block, and the difference class is
-# the class of O_C(-1) on that curve.
-
-
-def _o_curve_minus_one(curve: DivClass, d: DivClass) -> KClass:
-    """Class [O(D)] - [O(D - C)], the sheaf O_C(D.C) pushed to the surface."""
-    return line_bundle_class(d) - line_bundle_class(d - curve)
+# Compatibility with the contraction: every effective (-2)-curve is a step
+# D' - D between consecutive members of a chain of the big block, and
+# [O(D')] - [O(D)] is the class of O_C(-1) on that curve.
 
 
 def contraction_compatibility(t: SurfaceType) -> bool:
-    """Check that each (-2)-curve of t is matched inside the big block.
+    """Check that each (-2)-curve of t is a step of the chains a3_chains(t).
 
-    For each curve C there must be members D, D' of the five-object block
-    with D - D' = C; the class [O(D)] - [O(D')] then has restriction degree
-    D.C = -1 and satisfies the numerical kernel conditions of the
+    For each curve C there must be consecutive chain members D, D' with
+    D' - D = C; the class [O(D')] - [O(D)] then has restriction degree
+    D'.C = -1 and satisfies the numerical kernel conditions of the
     contraction (rank 0, c1.K = 0, chi(O, -) = chi(-, O) = 0).
     """
-    block = a3_block_classes()
+    steps = {d2 - d: (d, d2) for chain in a3_chains(t) for d, d2 in zip(chain, chain[1:])}
     o = structure_class()
     for curve in sorted(t.minus_two_curves, key=lambda c: c.coeffs):
-        pair = next(
-            ((d, d2) for d in block for d2 in block if d - d2 == curve), None
-        )
-        if pair is None:
-            raise UnmatchedCurveError(f"{t.label}: no pair realizes {curve!r}")
-        d, d2 = pair
-        cls = _o_curve_minus_one(curve, d)
-        if cls != line_bundle_class(d) - line_bundle_class(d2):
-            raise UnmatchedCurveError(f"{t.label}: class mismatch at {curve!r}")
-        if d.dot(curve) != -1:
-            raise UnmatchedCurveError(f"{t.label}: wrong twist on {curve!r}")
+        name = f"{t.label}: {curve.to_json()}"
+        if curve not in steps:
+            raise UnmatchedCurveError(f"{name} is no step of the block's chains")
+        d, d2 = steps[curve]
+        cls = line_bundle_class(d2) - line_bundle_class(d)
+        if d2.dot(curve) != -1:
+            raise UnmatchedCurveError(f"{name} has the wrong twist")
         if cls.rank != 0 or cls.c1.dot(K) != 0:
-            raise UnmatchedCurveError(f"{t.label}: {curve!r} not in K-perp")
+            raise UnmatchedCurveError(f"{name} is not in K-perp")
         if euler_pair(o, cls) != 0 or euler_pair(cls, o) != 0:
-            raise UnmatchedCurveError(f"{t.label}: {curve!r} visible to pushforward")
+            raise UnmatchedCurveError(f"{name} is visible to the pushforward")
     return True

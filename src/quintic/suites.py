@@ -101,7 +101,7 @@ def suite_catalog(seed: int) -> dict:
 def suite_mutations(seed: int) -> dict:
     details: dict = {}
     report = run_sodwdp_derivation()
-    _check(details, "derivation reaches target (numerical shadow)", report["matches_target"])
+    _check(details, "derivation reaches target (numerical shadow)", all(report["slots"]))
     _check(details, "mutation preserves the class span", report["preserves_span"])
     for t in catalog():
         _check(details, f"{t.label}: contraction compatible", contraction_compatibility(t))
@@ -153,7 +153,7 @@ def suite_cohomology(seed: int) -> dict:
         all(f_tilde_cohomology(t) == (5, 0, 0) for t in types),
     )
     certified = all(
-        r1_chain_vanishing(ChainProblem(n, degrees, l)).certified
+        r1_chain_vanishing(ChainProblem(degrees, l)).certified
         for n in (1, 2, 3, 4)
         for degrees in itertools.product(range(-1, 4), repeat=n)
         for l in range(1, n + 1)
@@ -164,8 +164,8 @@ def suite_cohomology(seed: int) -> dict:
     _check(
         details,
         "chain vanishing counterexamples",
-        not r1_chain_vanishing(ChainProblem(1, (-2,), 1)).certified
-        and not r1_chain_vanishing(ChainProblem(2, (-1, -1), 1)).certified,
+        not r1_chain_vanishing(ChainProblem((-2,), 1)).certified
+        and not r1_chain_vanishing(ChainProblem((-1, -1), 1)).certified,
     )
     for t in types:
         info = sweep_box(t, bound=4, spot_checks=20, seed=seed, return_arrays=True)
@@ -202,7 +202,7 @@ def suite_grassmannian(seed: int) -> dict:
     for _ in range(200):
         gamma = tuple(sorted((rng.randint(-5, 5), rng.randint(-5, 5)), reverse=True))
         beta = tuple(sorted((rng.randint(-4, 4) for _ in range(3)), reverse=True))
-        if pnr_criterion(gamma[1], beta, 5, 2):
+        if pnr_criterion(gamma[1], beta):
             sound &= bott(gamma + beta, 5) is None
     _check(details, "projective-space criterion sound on sample", sound)
     return details

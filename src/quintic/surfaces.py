@@ -42,13 +42,6 @@ class SurfaceType:
     minus_two_curves: frozenset[DivClass]
     ade: tuple[int, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "curves": sorted(c.to_json() for c in self.minus_two_curves),
-            "ade": list(self.ade),
-        }
-
 
 def _surface(label: str, curves: Iterable[DivClass]) -> SurfaceType:
     curves = frozenset(curves)
@@ -124,7 +117,8 @@ def ade_type(curves: Iterable[DivClass]) -> tuple[int, ...]:
                     frontier.append(w)
         edges = sum(len(adj[v]) for v in component) // 2
         if edges != len(component) - 1:
-            raise ChainStructureError("not simply-laced-chain: component has a cycle")
+            cycle = [curves[v].to_json() for v in sorted(component)]
+            raise ChainStructureError(f"not simply-laced-chain: {cycle} is a cycle")
         lengths.append(len(component))
     return tuple(sorted(lengths))
 
@@ -153,7 +147,8 @@ def a3_block_classes() -> tuple[DivClass, ...]:
 def a3_chains(t: SurfaceType) -> tuple[tuple[DivClass, ...], ...]:
     """Chain decomposition of the five block classes for the given type.
 
-    Draws an edge D -> D' whenever D' - D is an effective (-2)-class of t
+    The one owner of the block-difference relation: it draws an edge
+    D -> D' whenever D' - D is an effective (-2)-class of t
     and splits the resulting graph into maximal chains, each started at its
     unique source.  The sorted chain lengths must reproduce z_scheme(t.ade);
     InconsistentTypeError otherwise.

@@ -52,7 +52,7 @@ def test_classify_malformed_json_exits_2(capsys):
 def test_classify_non_root_exits_2(capsys):
     code, _, err = run(capsys, "classify", "[[1,0,0,0,0]]")
     assert code == 2
-    assert "non-root" in err
+    assert "[1, 0, 0, 0, 0] is not a (-2)-class" in err
 
 
 def test_classify_non_chain_exits_2(capsys):
@@ -62,6 +62,7 @@ def test_classify_non_chain_exits_2(capsys):
     )
     assert code == 2
     assert "chain" in err
+    assert "[0, 0, -1, 1, 0]" in err
     # e2-e1 and e1-e2 meet twice; classes are named in the input's list form
     code, _, err = run(capsys, "classify", "[[0,1,-1,0,0],[0,-1,1,0,0]]")
     assert code == 2

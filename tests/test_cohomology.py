@@ -216,21 +216,21 @@ def test_f_tilde_cohomology_all_types():
 
 def test_chain_problem_validation():
     with pytest.raises(ValueError):
-        ChainProblem(5, (0, 0, 0, 0, 0), 1)
+        ChainProblem((0, 0, 0, 0, 0), 1)
     with pytest.raises(ValueError):
-        ChainProblem(2, (0,), 1)
+        ChainProblem((), 1)
     with pytest.raises(ValueError):
-        ChainProblem(2, (0, 0), 3)
+        ChainProblem((0, 0), 3)
 
 
 def test_r1_vanishing_examples():
-    assert r1_chain_vanishing(ChainProblem(1, (-1,), 1)).certified
-    assert r1_chain_vanishing(ChainProblem(3, (0, -1, 0), 2)).certified
-    assert r1_chain_vanishing(ChainProblem(4, (0, -1, 0, 0), 2)).certified
-    res = r1_chain_vanishing(ChainProblem(1, (-2,), 1))
+    assert r1_chain_vanishing(ChainProblem((-1,), 1)).certified
+    assert r1_chain_vanishing(ChainProblem((0, -1, 0), 2)).certified
+    assert r1_chain_vanishing(ChainProblem((0, -1, 0, 0), 2)).certified
+    res = r1_chain_vanishing(ChainProblem((-2,), 1))
     assert not res.certified
     assert res.failing_step == (1, 1, -2)
-    res = r1_chain_vanishing(ChainProblem(2, (-1, -1), 1))
+    res = r1_chain_vanishing(ChainProblem((-1, -1), 1))
     assert not res.certified
     assert res.failing_step is not None
 
@@ -245,7 +245,7 @@ def test_r1_vanishing_exhaustive_hypothesis_sweep():
                 and all(degrees[i] >= 0 for i in range(n) if i != l - 1)
             ]
             for l in satisfies:
-                assert r1_chain_vanishing(ChainProblem(n, degrees, l)).certified, (
+                assert r1_chain_vanishing(ChainProblem(degrees, l)).certified, (
                     n,
                     degrees,
                     l,

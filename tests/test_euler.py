@@ -240,10 +240,6 @@ def test_chi_identities_on_seeded_random_classes():
         assert verify_chi_identities(g)
 
 
-def test_hilb_poly_serialization():
-    assert H3.to_json() == [[5, 2], [11, 2], [3, 1]]
-
-
 def test_normal_bundle_cherns():
     summary = normal_bundle_cherns()
     assert summary == ChernSummary(

@@ -36,7 +36,7 @@ from quintic.grassmannian import (
 def bundle_rank(x):
     """Reference rank: the Weyl dimensions of each block, summed with
     multiplicity."""
-    return sum(m * weyl_dim(g, 2) * weyl_dim(b, 3) for (g, b), m in x.summands)
+    return sum(m * weyl_dim(g) * weyl_dim(b) for (g, b), m in x.summands)
 
 
 def ssyt_contents(shape, n):
@@ -89,23 +89,23 @@ def character(lam):
 
 
 def test_weyl_dim_basics():
-    assert weyl_dim((1, 0, 0, 0, 0), 5) == 5
-    assert weyl_dim((1, 1, 0, 0, 0), 5) == comb(5, 2)
-    assert weyl_dim((2, 0, 0, 0, 0), 5) == comb(6, 2)
-    assert weyl_dim((0, 0, 0, 0, 0), 5) == 1
-    assert weyl_dim((-2, -2, -2, -2, -2), 5) == 1
+    assert weyl_dim((1, 0, 0, 0, 0)) == 5
+    assert weyl_dim((1, 1, 0, 0, 0)) == comb(5, 2)
+    assert weyl_dim((2, 0, 0, 0, 0)) == comb(6, 2)
+    assert weyl_dim((0, 0, 0, 0, 0)) == 1
+    assert weyl_dim((-2, -2, -2, -2, -2)) == 1
 
 
 def test_weyl_dim_matches_ssyt_count():
     for shape in [(2, 1, 0), (3, 1, 0), (2, 2, 1), (4, 2, 0), (1, 1, 1)]:
-        assert weyl_dim(shape, 3) == count_ssyt(shape, 3)
+        assert weyl_dim(shape) == count_ssyt(shape, 3)
     for shape in [(2, 1, 0, 0, 0), (2, 2, 0, 0, 0), (3, 0, 0, 0, 0)]:
-        assert weyl_dim(shape, 5) == count_ssyt(shape, 5)
+        assert weyl_dim(shape) == count_ssyt(shape, 5)
 
 
 def test_weyl_dim_rejects_non_dominant():
     with pytest.raises(ValueError):
-        weyl_dim((0, 1), 2)
+        weyl_dim((0, 1))
 
 
 def test_bott_h0_of_dual_tautological():
@@ -300,10 +300,20 @@ def test_chi_vector_separates_lefschetz_objects():
 
 def test_verify_lefschetz_full_table():
     report = verify_lefschetz()
-    assert report["ok"] is True
-    assert report["violations"] == []
-    assert len(report["table"]) == 10
-    assert report["table"][3][3] == {"degrees": {"0": 1}}
+    assert report == {"ok": True, "violations": []}
+
+
+def test_verify_lefschetz_checks_the_diagonal_and_below(monkeypatch):
+    import quintic.grassmannian
+
+    # RHom = k everywhere breaks the 45 pairs below the diagonal
+    monkeypatch.setattr(quintic.grassmannian, "rhom", lambda a, b: CohProfile.of({0: 1}))
+    assert len(verify_lefschetz()["violations"]) == 45
+    # RHom = 0 everywhere breaks the 10 diagonal pairs
+    monkeypatch.setattr(quintic.grassmannian, "rhom", lambda a, b: CohProfile(()))
+    assert [(a, b) for a, b, _ in verify_lefschetz()["violations"]] == [
+        (label, label) for label, _ in lefschetz_objects()
+    ]
 
 
 def test_kapranov_collection_is_unitriangular():
@@ -326,14 +336,14 @@ def test_pnr_criterion_soundness():
     for _ in range(200):
         gamma = tuple(sorted((rng.randint(-5, 5), rng.randint(-5, 5)), reverse=True))
         beta = tuple(sorted((rng.randint(-4, 4) for _ in range(3)), reverse=True))
-        if pnr_criterion(gamma[1], beta, 5, 2):
+        if pnr_criterion(gamma[1], beta):
             certified += 1
             assert bott(gamma + beta, 5) is None
     assert certified > 10
 
 
 def test_pnr_criterion_ample_line_bundle_fails():
-    assert pnr_criterion(3, (0, 0, 0), 5, 2) is False
+    assert pnr_criterion(3, (0, 0, 0)) is False
 
 
 def test_pnr_criterion_indec_family():
@@ -342,17 +352,15 @@ def test_pnr_criterion_indec_family():
     # (one-directional) test is inconclusive even though the Grassmannian
     # cohomology vanishes
     for i in (1, 2, 3):
-        assert pnr_criterion(-i, (0, 0, 0), 5, 2) is True
+        assert pnr_criterion(-i, (0, 0, 0)) is True
     for i in (4, 5, 6):
-        assert pnr_criterion(-i, (0, 0, 0), 5, 2) is False
+        assert pnr_criterion(-i, (0, 0, 0)) is False
         assert bott((2 - i, -i, 0, 0, 0), 5) is None
 
 
 def test_pnr_criterion_validates_input():
     with pytest.raises(ValueError):
-        pnr_criterion(0, (0, 1, 0), 5, 2)
-    with pytest.raises(ValueError):
-        pnr_criterion(0, (0, 0), 5, 2)
+        pnr_criterion(0, (0, 1, 0))
 
 
 hom_blocks = st.builds(

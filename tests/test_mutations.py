@@ -11,9 +11,15 @@ from quintic.euler import (
     structure_class,
     twist,
 )
+from quintic.grassmannian import (
+    GR25_LEFSCHETZ,
+    chi_vector,
+    kapranov_collection,
+    lefschetz_objects,
+    rhom_chi,
+)
 from quintic.lattice import E, H, K, ZERO, DivClass
 from quintic.mutations import (
-    GR25_LEFSCHETZ,
     SODWDP_DERIVATION,
     ExcCollection,
     MutationError,
@@ -28,12 +34,16 @@ from quintic.mutations import (
     replay,
     right_mutate,
     run_sodwdp_derivation,
-    same_up_to_sign,
+    run_walk,
     sodwdp_start_collection,
     sodwdp_target_collection,
-    span_signature,
 )
-from quintic.surfaces import catalog, surface_type
+from quintic.suites import suite_mutations
+from quintic.surfaces import SurfaceType, catalog, surface_type
+
+
+def span(c):
+    return hermite_normal_form([x.int_vector() for x in c.classes()])
 
 
 def line_collection(*divisors):
@@ -72,7 +82,8 @@ def test_right_mutation_on_blowup_pair():
     )
     mutated = right_mutate(c, 0)
     assert mutated.classes()[0] == line_bundle_class(-H)
-    assert same_up_to_sign(mutated.classes()[1], line_bundle_class(E[1] - H))
+    expected = line_bundle_class(E[1] - H)
+    assert mutated.classes()[1] in (expected, -expected)
 
 
 def test_right_mutation_of_orthogonal_pair_transposes():
@@ -89,7 +100,7 @@ def test_mutation_past_whole_collection_is_anticanonical_twist():
     final = move_to_end(c, 0)
     moved = final.classes()[-1]
     expected = line_bundle_class(-K - H)  # O(-h) twisted by O(-K)
-    assert same_up_to_sign(moved, expected)
+    assert moved in (expected, -expected)
     # and the same at the level of the twist map
     assert expected == twist(line_bundle_class(-H), -K)
 
@@ -124,19 +135,56 @@ def test_empty_script_is_identity():
 def test_script_prefix_moves_first_bundle_to_end():
     c = sodwdp_start_collection()
     out = replay(c, SODWDP_DERIVATION[:1])
-    assert same_up_to_sign(out.classes()[-1], line_bundle_class(-K - H))
+    expected = line_bundle_class(-K - H)
+    assert out.classes()[-1] in (expected, -expected)
     assert out.classes()[0] == line_bundle_class(E[4] - H)
 
 
 def test_full_derivation_reaches_target():
     report = run_sodwdp_derivation()
-    assert report["matches_target"] is True
-    assert report["preserves_span"] is True
+    assert report == {"slots": (True,) * 7, "preserves_span": True}
+
+
+def test_walk_one_step_short_misses_a_slot():
+    start, target = sodwdp_start_collection(), sodwdp_target_collection()
+    slots = run_walk(
+        start, SODWDP_DERIVATION[:-1], target, KClass.int_vector, assert_unitriangular
+    )
+    assert len(slots) == 7 and not all(slots)
+    target = ExcCollection(lefschetz_objects(), rhom_chi)
+    slots = run_walk(
+        kapranov_collection(), GR25_LEFSCHETZ[:-1], target, chi_vector, assert_unitriangular
+    )
+    assert len(slots) == 10 and not all(slots)
+
+
+def test_walk_calls_check_on_start_and_every_atomic_mutation():
+    seen = []
+    start = sodwdp_start_collection()
+    run_walk(start, SODWDP_DERIVATION, start, KClass.int_vector, seen.append)
+    # five moves to the end of a seven-object collection, then one left mutation
+    assert seen[0] is start
+    assert len(seen) == 1 + 5 * 6 + 1
+
+
+def test_walk_rejects_a_target_of_another_length():
+    start = sodwdp_start_collection()
+    with pytest.raises(MutationError):
+        run_walk(start, (), line_collection(H), KClass.int_vector, assert_unitriangular)
+
+
+def test_derivation_mismatch_is_a_false_check(monkeypatch):
+    import quintic.mutations
+
+    monkeypatch.setattr(quintic.mutations, "SODWDP_DERIVATION", SODWDP_DERIVATION[:-1])
+    details = suite_mutations(0)
+    assert details.pop("derivation reaches target (numerical shadow)") is False
+    assert len(details) == 13 and all(details.values())
 
 
 def test_derivation_keeps_unitriangular_and_span():
     c = sodwdp_start_collection()
-    start_span = span_signature(c, KClass.int_vector)
+    start_span = span(c)
     seen = [c]
 
     def check(col):
@@ -146,14 +194,14 @@ def test_derivation_keeps_unitriangular_and_span():
     final = replay(c, SODWDP_DERIVATION, check=check)
     assert len(seen) > len(SODWDP_DERIVATION)  # macros expand to atomic steps
     for col in seen:
-        assert span_signature(col, KClass.int_vector) == start_span
-    assert span_signature(final, KClass.int_vector) == start_span
+        assert span(col) == start_span
+    assert span(final) == start_span
 
 
 def test_final_left_mutation_builds_extension_class():
     c = sodwdp_start_collection()
     out = replay(c, SODWDP_DERIVATION)
-    assert same_up_to_sign(out.classes()[1], f_tilde_class())
+    assert out.classes()[1] in (f_tilde_class(), -f_tilde_class())
     assert f_tilde_class() == line_bundle_class(-K - H) + line_bundle_class(H)
 
 
@@ -215,10 +263,9 @@ def test_contraction_compatibility_smooth_is_vacuous():
 
 
 def test_contraction_compatibility_unmatched_curve():
-    from quintic.surfaces import SurfaceType
-
-    fake = SurfaceType("fake", frozenset({2 * H - E[1] - E[2] - E[3] - E[4] - K}), ())
-    with pytest.raises(UnmatchedCurveError):
+    curve = 2 * H - E[1] - E[2] - E[3] - E[4] - K
+    fake = SurfaceType("fake", frozenset({curve}), ())
+    with pytest.raises(UnmatchedCurveError, match=r"fake: \[5, 2, 2, 2, 2\]"):
         contraction_compatibility(fake)
 
 
