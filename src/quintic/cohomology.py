@@ -323,7 +323,6 @@ def _kernel(t: SurfaceType) -> _Kernel:
     return _Kernel(t)
 
 
-@lru_cache(maxsize=None)
 def _h0(coeffs: tuple[int, ...], t: SurfaceType) -> tuple[int, DivClass]:
     kern = _kernel(t)
     d = DivClass(coeffs)

@@ -308,6 +308,7 @@ def _bott_terms(product: HomBundle):
             yield res.degree, mult * res.dim
 
 
+@lru_cache(maxsize=None)
 def rhom(a: HomBundle, b: HomBundle) -> CohProfile | ChiOnly:
     """RHom(a, b) = cohomology of dual(a) (x) b.
 
@@ -337,12 +338,14 @@ def rhom(a: HomBundle, b: HomBundle) -> CohProfile | ChiOnly:
     return ChiOnly(sum((-1) ** deg * val for deg, val in contributions))
 
 
+@lru_cache(maxsize=None)
 def rhom_chi(a: HomBundle, b: HomBundle) -> int:
     """Euler pairing chi(a, b): alternating Bott sum, cancellation-free."""
     terms = _bott_terms(tensor_decompose(dual(a), b))
     return sum((-1) ** deg * val for deg, val in terms)
 
 
+@lru_cache(maxsize=None)
 def lefschetz_objects() -> tuple[tuple[str, HomBundle], ...]:
     """The ten objects O, R*, O(1), R*(1), ..., O(4), R*(4)."""
     out = []
@@ -353,18 +356,13 @@ def lefschetz_objects() -> tuple[tuple[str, HomBundle], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _lefschetz_classes() -> tuple[HomBundle, ...]:
-    return tuple(cls for _, cls in lefschetz_objects())
-
-
 def chi_vector(x: HomBundle) -> tuple[int, ...]:
     """Pairings against the ten Lefschetz objects.
 
     The collection is full with unimodular Gram matrix, so this vector is a
     complete invariant of the numerical K-theory class.
     """
-    return tuple(rhom_chi(e, x) for e in _lefschetz_classes())
+    return tuple(rhom_chi(e, x) for _, e in lefschetz_objects())
 
 
 def verify_lefschetz() -> dict:

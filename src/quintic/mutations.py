@@ -116,35 +116,33 @@ def left_mutate(c: ExcCollection, i: int) -> ExcCollection:
     return c.replaced(objects)
 
 
-def move_to_end(c: ExcCollection, i: int, check=None) -> ExcCollection:
-    """Right-mutate the object at position i past everything after it."""
+def move_to_end(c: ExcCollection, i: int, check) -> ExcCollection:
+    """Right-mutate the object at position i past everything after it,
+    calling ``check`` on each result."""
     for j in range(i, len(c) - 1):
         c = right_mutate(c, j)
-        if check is not None:
-            check(c)
+        check(c)
     return c
 
 
-def replay(c: ExcCollection, script: Sequence[dict], check=None) -> ExcCollection:
+def replay(c: ExcCollection, script: Sequence[dict], check) -> ExcCollection:
     """Apply a list of {kind, index} steps.
 
     kind is one of "right", "left", "transpose-to-end"; the last is the
     macro moving the object at the index to the final slot by successive
-    right mutations.  When given, ``check`` is called on the collection
-    after every atomic mutation.
+    right mutations.  ``check`` is called on the collection after every
+    atomic mutation.
     """
     for step in script:
         kind, index = step["kind"], step["index"]
         if kind == "right":
             c = right_mutate(c, index)
-            if check is not None:
-                check(c)
+            check(c)
         elif kind == "left":
             c = left_mutate(c, index)
-            if check is not None:
-                check(c)
+            check(c)
         elif kind == "transpose-to-end":
-            c = move_to_end(c, index, check=check)
+            c = move_to_end(c, index, check)
         else:
             raise MutationError(f"unknown step kind {kind!r}")
     return c
@@ -167,7 +165,7 @@ def run_walk(
     if len(start) != len(target):
         raise MutationError(f"walk of length {len(start)} to a target of {len(target)}")
     check(start)
-    end = replay(start, script, check=check)
+    end = replay(start, script, check)
     slots = []
     for x, y in zip(end.classes(), target.classes()):
         kx, ky = key(x), key(y)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -53,15 +54,6 @@ from .surfaces import a3_block_classes, a3_chains, catalog, z_scheme
 __all__ = ["DEFAULT_SEED", "SUITE_NAMES", "run_suites", "run_report"]
 
 DEFAULT_SEED = 20260808
-
-SUITE_NAMES = (
-    "lattice",
-    "catalog",
-    "mutations",
-    "cohomology",
-    "grassmannian",
-    "chern",
-)
 
 
 def _check(details: dict, name: str, ok: bool) -> bool:
@@ -108,18 +100,27 @@ def suite_mutations(seed: int) -> dict:
     return details
 
 
+@lru_cache(maxsize=1)
+def _serre_mirror(bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the rows D of every type's sweep box at bound (np.indices
+    order, shifted by -bound) whose mirror K - D is in the box, and its row."""
+    box = np.indices((2 * bound + 1,) * 5).reshape(5, -1).T - bound
+    mirror = np.array(K.coeffs) - box
+    inside = (np.abs(mirror) <= bound).all(axis=1)
+    index = ((mirror[inside] + bound) * (2 * bound + 1) ** np.arange(4, -1, -1)).sum(axis=1)
+    return inside, index
+
+
 def _sweep_consistent(info: dict) -> bool:
     """Riemann-Roch and h^1 >= 0 on every row of a sweep, and Serre duality
     h^2(D) = h^0(K - D) wherever the mirror K - D lies in the box."""
-    arr, bound = info["arrays"], info["bound"]
-    mirror = np.array(K.coeffs) - arr["box"]
-    inside = (np.abs(mirror) <= bound).all(axis=1)
-    index = ((mirror + bound) * (2 * bound + 1) ** np.arange(4, -1, -1)).sum(axis=1)
+    arr = info["arrays"]
+    inside, index = _serre_mirror(info["bound"])
     return bool(
         (arr["h0"] - arr["h1"] + arr["h2"] == arr["chi"]).all()
         and (arr["h1"] >= 0).all()
         and inside.any()
-        and (arr["h2"][inside] == arr["h0"][index[inside]]).all()
+        and (arr["h2"][inside] == arr["h0"][index]).all()
     )
 
 
@@ -239,6 +240,7 @@ _SUITES = {
     "grassmannian": suite_grassmannian,
     "chern": suite_chern,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(names, seed: int = DEFAULT_SEED) -> dict:

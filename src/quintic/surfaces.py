@@ -144,6 +144,7 @@ def a3_block_classes() -> tuple[DivClass, ...]:
     return tuple(sorted(weyl_orbit([H]), key=lambda d: d.coeffs[::-1]))
 
 
+@lru_cache(maxsize=None)
 def a3_chains(t: SurfaceType) -> tuple[tuple[DivClass, ...], ...]:
     """Chain decomposition of the five block classes for the given type.
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -146,22 +147,42 @@ def test_h_all_large_multiple_of_exceptional_class(label, n):
     assert h_all(d, surface_type(label)) == (1, 1 - chi_line(d), 0)
 
 
-def test_sweep_scalar_and_peeling_oracle_agree_on_bound_3_box():
+def test_h_all_keeps_no_per_class_state():
+    # the support table is per type and bounded; once a sweep has filled it
+    # for a box, scalar h_all on that box must not grow memory per class.
+    # Runs before the bound-3 test below, so no earlier test has seen
+    # these classes.
+    t = surface_type("V.2")
+    box = sweep_box(t, bound=2, return_arrays=True)["arrays"]["box"]
+    classes = [DivClass(tuple(row)) for row in box.tolist()]
+    # CPython keeps up to 2,000 freed tuples of each small length for reuse,
+    # which tracemalloc would count as kept if they were freed while tracing
+    spare = [tuple(range(i, i + 5)) for i in range(4000)]
+    del spare
+    tracemalloc.start()
     try:
-        for t in catalog():
-            curves = negative_curves(t).all
-            arr = sweep_box(t, bound=3, return_arrays=True)["arrays"]
-            for row, h0, h1, h2 in zip(
-                arr["box"].tolist(), arr["h0"].tolist(), arr["h1"].tolist(), arr["h2"].tolist()
-            ):
-                d = DivClass(tuple(row))
-                oracle0 = _peel_h0(d, curves)[0]
-                oracle2 = _peel_h0(K - d, curves)[0]
-                expected = (oracle0, oracle0 + oracle2 - chi_line(d), oracle2)
-                assert (h0, h1, h2) == expected, (t.label, row)
-                assert h_all(d, t) == expected, (t.label, row)
+        before = tracemalloc.get_traced_memory()[0]
+        for d in classes:
+            h_all(d, t)
+        growth = tracemalloc.get_traced_memory()[0] - before
     finally:
-        _h0.cache_clear()
+        tracemalloc.stop()
+    assert growth < 64 * 1024, f"{growth} bytes kept over {len(classes)} classes"
+
+
+def test_sweep_scalar_and_peeling_oracle_agree_on_bound_3_box():
+    for t in catalog():
+        curves = negative_curves(t).all
+        arr = sweep_box(t, bound=3, return_arrays=True)["arrays"]
+        for row, h0, h1, h2 in zip(
+            arr["box"].tolist(), arr["h0"].tolist(), arr["h1"].tolist(), arr["h2"].tolist()
+        ):
+            d = DivClass(tuple(row))
+            oracle0 = _peel_h0(d, curves)[0]
+            oracle2 = _peel_h0(K - d, curves)[0]
+            expected = (oracle0, oracle0 + oracle2 - chi_line(d), oracle2)
+            assert (h0, h1, h2) == expected, (t.label, row)
+            assert h_all(d, t) == expected, (t.label, row)
 
 
 def test_ext_line_examples():
@@ -346,12 +367,9 @@ def test_batch_rows_at_the_float_limit_match_scalar(label):
         (-L, 0, 0, 0, 0),
         (L, -L, -L, -L, -L),
     ]
-    try:
-        got = _h0_rows(np.array(rows, dtype=np.float64), _kernel(t)).tolist()
-        assert got == [_h0(r, t)[0] for r in rows]
-        assert got[0] == (L + 1) * (L + 2) // 2  # h^0(O(L h)) > 2^49
-    finally:
-        _h0.cache_clear()
+    got = _h0_rows(np.array(rows, dtype=np.float64), _kernel(t)).tolist()
+    assert got == [_h0(r, t)[0] for r in rows]
+    assert got[0] == (L + 1) * (L + 2) // 2  # h^0(O(L h)) > 2^49
 
 
 @pytest.mark.parametrize("label", [t.label for t in catalog()])

@@ -293,6 +293,39 @@ def test_rhom_virtual_mixed_degrees_degrades_to_chi():
     assert result.chi == 1 - 1
 
 
+def _rhom_pool():
+    """The 25 bundles O, R*, Sym^2 R*, Sym^3 R*, Rperp at twists -2..2, and
+    the five virtual kernels of verify_appendix_identities."""
+    pool = [
+        make(k)
+        for make in (o, rstar, lambda k: sym_rstar(2, k), lambda k: sym_rstar(3, k), rperp)
+        for k in range(-2, 3)
+    ]
+    k1 = 5 * sym_rstar(2, 1) - sym_rstar(3)
+    kernels = [
+        10 * o(0) - o(1),
+        10 * o(0) - rperp(1),
+        k1,
+        10 * rstar(2) - k1,
+        5 * rstar(1) - sym_rstar(2),
+    ]
+    return pool + kernels
+
+
+@pytest.mark.parametrize("fn", [rhom, rhom_chi], ids=["rhom", "rhom_chi"])
+def test_memoised_rhom_matches_the_uncached_function(fn):
+    pool = _rhom_pool()
+    fn.cache_clear()
+    for a, b in itertools.product(pool, repeat=2):
+        expected = fn.__wrapped__(a, b)
+        misses = fn.cache_info().misses
+        assert fn(a, b) == expected, (a, b)
+        assert fn.cache_info().misses == misses + 1
+        hits = fn.cache_info().hits
+        assert fn(a, b) == expected, (a, b)
+        assert fn.cache_info().hits == hits + 1
+
+
 def test_chi_vector_separates_lefschetz_objects():
     vectors = {chi_vector(cls) for _, cls in lefschetz_objects()}
     assert len(vectors) == 10

@@ -97,7 +97,7 @@ def test_right_mutation_of_orthogonal_pair_transposes():
 
 def test_mutation_past_whole_collection_is_anticanonical_twist():
     c = sodwdp_start_collection()
-    final = move_to_end(c, 0)
+    final = move_to_end(c, 0, lambda c: None)
     moved = final.classes()[-1]
     expected = line_bundle_class(-K - H)  # O(-h) twisted by O(-K)
     assert moved in (expected, -expected)
@@ -129,12 +129,12 @@ def test_index_out_of_range():
 
 def test_empty_script_is_identity():
     c = sodwdp_start_collection()
-    assert replay(c, []).classes() == c.classes()
+    assert replay(c, [], lambda c: None).classes() == c.classes()
 
 
 def test_script_prefix_moves_first_bundle_to_end():
     c = sodwdp_start_collection()
-    out = replay(c, SODWDP_DERIVATION[:1])
+    out = replay(c, SODWDP_DERIVATION[:1], lambda c: None)
     expected = line_bundle_class(-K - H)
     assert out.classes()[-1] in (expected, -expected)
     assert out.classes()[0] == line_bundle_class(E[4] - H)
@@ -191,7 +191,7 @@ def test_derivation_keeps_unitriangular_and_span():
         assert_unitriangular(col)
         seen.append(col)
 
-    final = replay(c, SODWDP_DERIVATION, check=check)
+    final = replay(c, SODWDP_DERIVATION, check)
     assert len(seen) > len(SODWDP_DERIVATION)  # macros expand to atomic steps
     for col in seen:
         assert span(col) == start_span
@@ -200,7 +200,7 @@ def test_derivation_keeps_unitriangular_and_span():
 
 def test_final_left_mutation_builds_extension_class():
     c = sodwdp_start_collection()
-    out = replay(c, SODWDP_DERIVATION)
+    out = replay(c, SODWDP_DERIVATION, lambda c: None)
     assert out.classes()[1] in (f_tilde_class(), -f_tilde_class())
     assert f_tilde_class() == line_bundle_class(-K - H) + line_bundle_class(H)
 
