@@ -555,6 +555,16 @@ def _box(bound: int) -> _BoxData:
     return data
 
 
+@lru_cache(maxsize=1)
+def _serre_mirror(bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the rows D of _box(bound).box whose Serre mirror K - D lies
+    in the box, and the row of that mirror."""
+    mirror = np.array(K.coeffs) - _box(bound).box
+    inside = (np.abs(mirror) <= bound).all(axis=1)
+    index = np.ravel_multi_index((mirror[inside] + bound).T, (2 * bound + 1,) * 5)
+    return inside, index
+
+
 def sweep_box(
     t: SurfaceType,
     bound: int = 4,

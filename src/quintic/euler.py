@@ -35,7 +35,6 @@ __all__ = [
     "twist",
     "hilbert_poly",
     "verify_chi_identities",
-    "ChernSummary",
     "normal_bundle_cherns",
 ]
 
@@ -81,6 +80,10 @@ class KClass:
         return KClass(n * self.rank, n * self.c1, n * self.twice_ch2)
 
     __rmul__ = __mul__
+
+    def c2(self) -> int:
+        """Second Chern class (c1^2 - 2 ch2)/2, exact by the parity rule."""
+        return (self.c1.square() - self.twice_ch2) // 2
 
     def int_vector(self) -> tuple[int, ...]:
         """(rank, c1 coefficients, 2*ch2) as a 7-tuple of integers."""
@@ -225,46 +228,17 @@ def verify_chi_identities(g: KClass) -> bool:
     return lhs_f == rhs_f and lhs_p == rhs_p
 
 
-# ---------------------------------------------------------------------------
-# Chern numbers of the anticanonical embedding in P^5.
-#
-# Every degree-1 class below is a multiple a*HP of the hyperplane class HP
-# of the degree-5 embedding, held as the integer a; (a HP).(b HP) = 5ab.
+def normal_bundle_cherns() -> tuple[KClass, KClass, KClass]:
+    """K-classes of T_X, of the normal bundle N of X in P^5 and of the
+    rank-2 cokernel F' of N(-2) -> O^5, for the anticanonical embedding
+    O(1) = O(-K).
 
-
-@dataclass(frozen=True)
-class ChernSummary:
-    c2_tangent: int
-    c2_normal: int
-    c2_fprime: int
-    h_fprime: HilbPoly
-
-
-def normal_bundle_cherns() -> ChernSummary:
-    """Chern-number bookkeeping for the surface inside P^5.
-
-    c(T_P5 | X) = (1+HP)^6 truncated in degree 2 and c2(T_X) is fixed by
-    Noether's identity chi(O) = (K^2 + c2)/12.  Whitney's formula on
-    T_P5|X = T_X + N yields c2(N), and on the rank-2 cokernel F' of
-    N(-2) -> O^5 it yields c2(F'); surface Riemann-Roch then gives the
-    Hilbert polynomial of F'.
+    [T_P5|X] = 6[O(1)] - [O] by the Euler sequence; T_X has rank 2,
+    c1 = -K and c2 = 12 chi(O) - K^2 by Noether; [N] = [T_P5|X] - [T_X]
+    and [F'] = 5[O] - [N(-2)], where O(-2) = O(2K).
     """
-    c2_tx = 12 * 1 - 5  # Noether with chi(O) = 1, K^2 = 5
-    c2_p5_restr = 15 * 5  # degree-2 term of (1+HP)^6, 15 HP.HP
-    c1_tx = 1  # anticanonical embedding: c1(T_X) = -K = HP
-    c1_n = 6 - c1_tx  # c1(N) = c1(T_P5|X) - c1(T_X)
-    c2_n = c2_p5_restr - c2_tx - 5 * c1_tx * c1_n
-    # twist N(-2): rank 3, c2(E(L)) = c2(E) + 2 c1(E).c1(L) + 3 c1(L)^2
-    c1_nm2 = c1_n + 3 * (-2)
-    c2_nm2 = c2_n + 2 * 5 * c1_n * (-2) + 3 * 5 * (-2) * (-2)
-    # Whitney on 0 -> N(-2) -> O^5 -> F' -> 0
-    c1_fp = -c1_nm2
-    c2_fp = -c2_nm2 - 5 * c1_nm2 * c1_fp
-    # surface Riemann-Roch for rank 2 with c1(F') = -K
-    c1_sq = 5 * c1_fp * c1_fp
-    c1_dot_k = 5 * c1_fp * (-1)
-    const = Fraction(c1_sq - 2 * c2_fp - c1_dot_k, 2) + 2 * Fraction(5 + c2_tx, 12)
-    h_fp = HilbPoly(Fraction(5), Fraction(5 - c1_dot_k), const)
-    return ChernSummary(
-        c2_tangent=c2_tx, c2_normal=c2_n, c2_fprime=c2_fp, h_fprime=h_fp
-    )
+    o = structure_class()
+    c2_tx = 12 * euler_pair(o, o) - K.square()
+    tx = KClass(2, -K, K.square() - 2 * c2_tx)
+    normal = 6 * line_bundle_class(-K) - o - tx
+    return tx, normal, 5 * o - twist(normal, 2 * K)

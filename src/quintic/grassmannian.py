@@ -291,21 +291,11 @@ class ChiOnly:
 
     chi: int
 
+    def euler(self) -> int:
+        return self.chi
+
     def to_json(self) -> dict:
         return {"chi": self.chi}
-
-
-def _block_weight(block: Block) -> tuple[int, ...]:
-    return block[0] + block[1]
-
-
-def _bott_terms(product: HomBundle):
-    """Yield (degree, signed dimension) for each block of product whose
-    cohomology does not vanish."""
-    for blk, mult in product.summands:
-        res = bott(_block_weight(blk), 5)
-        if res is not None:
-            yield res.degree, mult * res.dim
 
 
 @lru_cache(maxsize=None)
@@ -321,7 +311,11 @@ def rhom(a: HomBundle, b: HomBundle) -> CohProfile | ChiOnly:
     the Euler characteristic.
     """
     product = tensor_decompose(dual(a), b)
-    contributions = list(_bott_terms(product))
+    contributions = []
+    for (gamma, beta), mult in product.summands:
+        res = bott(gamma + beta, 5)
+        if res is not None:
+            contributions.append((res.degree, mult * res.dim))
     if not contributions:
         return CohProfile(())
     if product.is_effective():
@@ -338,11 +332,9 @@ def rhom(a: HomBundle, b: HomBundle) -> CohProfile | ChiOnly:
     return ChiOnly(sum((-1) ** deg * val for deg, val in contributions))
 
 
-@lru_cache(maxsize=None)
 def rhom_chi(a: HomBundle, b: HomBundle) -> int:
-    """Euler pairing chi(a, b): alternating Bott sum, cancellation-free."""
-    terms = _bott_terms(tensor_decompose(dual(a), b))
-    return sum((-1) ** deg * val for deg, val in terms)
+    """Euler pairing chi(a, b), read off the memoised rhom."""
+    return rhom(a, b).euler()
 
 
 @lru_cache(maxsize=None)

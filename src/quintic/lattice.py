@@ -24,6 +24,7 @@ from functools import lru_cache
 from typing import Iterable
 
 __all__ = [
+    "WeylClosureError",
     "DivClass",
     "H",
     "E",
@@ -39,6 +40,11 @@ __all__ = [
     "weyl_group_elements",
     "minus_one_classes",
 ]
+
+
+class WeylClosureError(RuntimeError):
+    """A closure under the simple reflections outgrew the Weyl group."""
+
 
 @dataclass(frozen=True, slots=True)
 class DivClass:
@@ -144,9 +150,15 @@ def _reflect(d: DivClass, root: DivClass) -> DivClass:
 
 def _closure(seed: Iterable, step) -> frozenset:
     """Smallest set containing seed and closed under x -> step(x, r) for
-    each simple root r."""
+    each simple root r.
+
+    A group action makes this the union of the seed's orbits, so it has at
+    most |W(A4)| = 120 elements per seed element; a step that is not a
+    group action raises WeylClosureError past that cap.
+    """
     gens = simple_roots()
     seen = set(seed)
+    cap = 120 * len(seen)
     frontier = list(seen)
     while frontier:
         x = frontier.pop()
@@ -155,6 +167,11 @@ def _closure(seed: Iterable, step) -> frozenset:
             if image not in seen:
                 seen.add(image)
                 frontier.append(image)
+        if len(seen) > cap:
+            raise WeylClosureError(
+                f"closure of {cap // 120} seed elements passed {cap}: "
+                "the step is not a W(A4) action"
+            )
     return frozenset(seen)
 
 

@@ -172,11 +172,9 @@ def test_criterion_08_chain_vanishing():
 
 
 def test_criterion_09_chern_numbers():
-    summary = normal_bundle_cherns()
-    assert summary.c2_tangent == 7
-    assert summary.c2_normal == 43
-    assert summary.c2_fprime == 2
-    assert summary.h_fprime == HilbPoly(Fraction(5), Fraction(10), Fraction(5))
+    tangent, normal, fprime = normal_bundle_cherns()
+    assert (tangent.c2(), normal.c2(), fprime.c2()) == (7, 43, 2)
+    assert hilbert_poly(fprime) == HilbPoly(Fraction(5), Fraction(10), Fraction(5))
     report(9, "c2 integrals (7, 43, 2) and h_F' = 5t^2+10t+5")
 
 

@@ -5,7 +5,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quintic.euler import (
-    ChernSummary,
     HilbPoly,
     KClass,
     chi_line,
@@ -21,6 +20,7 @@ from quintic.euler import (
     verify_chi_identities,
 )
 from quintic.lattice import E, H, K, ZERO, DivClass
+from quintic.suites import suite_chern
 
 H2 = HilbPoly(Fraction(5), Fraction(10), Fraction(5))  # 5(t+1)^2
 H3 = HilbPoly(Fraction(5, 2), Fraction(11, 2), Fraction(3))  # (t+1)(5t+6)/2
@@ -241,11 +241,41 @@ def test_chi_identities_on_seeded_random_classes():
 
 
 def test_normal_bundle_cherns():
-    summary = normal_bundle_cherns()
-    assert summary == ChernSummary(
-        c2_tangent=7,
-        c2_normal=43,
-        c2_fprime=2,
-        h_fprime=HilbPoly(Fraction(5), Fraction(10), Fraction(5)),
+    tangent, normal, fprime = normal_bundle_cherns()
+    assert tangent == KClass(2, -K, -9)  # c2 = 7
+    assert normal == KClass(3, -5 * K, 39)  # c2 = 43
+    assert (tangent.c2(), normal.c2(), fprime.c2()) == (7, 43, 2)
+    assert hilbert_poly(fprime) == H2
+
+
+def test_fprime_is_the_rank_two_extension_class():
+    # stronger than the equal Hilbert polynomials the report checks
+    assert normal_bundle_cherns()[2] == f_tilde_class()
+
+
+def test_tangent_bundle_has_euler_characteristic_zero():
+    tangent = normal_bundle_cherns()[0]
+    assert euler_pair(structure_class(), tangent) == 0
+
+
+@given(div_classes)
+def test_c2_vanishes_on_line_bundles(d):
+    assert line_bundle_class(d).c2() == 0
+
+
+def test_c2_of_point_and_rank_two_extension():
+    assert point_class().c2() == -1
+    assert f_tilde_class().c2() == 2
+
+
+def test_euler_pair_fault_flips_the_three_c2_checks(monkeypatch):
+    import quintic.euler
+
+    names = ("c2(T_X) = 7", "c2(N) = 43", "c2(F') = 2")
+    assert all(suite_chern(0)[name] for name in names)
+    pair = quintic.euler.euler_pair
+    monkeypatch.setattr(
+        quintic.euler, "euler_pair", lambda x, y: pair(x, y) + x.rank * y.rank
     )
-    assert summary.h_fprime == H2
+    details = suite_chern(0)
+    assert not any(details[name] for name in names)

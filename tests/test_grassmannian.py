@@ -272,16 +272,17 @@ def test_rhom_self_is_one_dimensional():
 
 
 def test_rhom_euler_matches_chi():
+    # rhom_chi reads rhom, so the reference is the alternating Bott sum
     rng = random.Random(17)
     bundles = [o(1), rstar(-1), sym_rstar(2, 1), rperp(2), twist(dual(rperp()), 1)]
     for _ in range(60):
         a = rng.choice(bundles)
         b = rng.choice(bundles)
-        result = rhom(a, b)
-        if isinstance(result, CohProfile):
-            assert result.euler() == rhom_chi(a, b)
-        else:
-            assert result.chi == rhom_chi(a, b)
+        terms = (
+            (bott(g + bb, 5), m) for (g, bb), m in tensor_decompose(dual(a), b).summands
+        )
+        chi = sum((-1) ** res.degree * m * res.dim for res, m in terms if res is not None)
+        assert rhom_chi(a, b) == rhom(a, b).euler() == chi
 
 
 def test_rhom_virtual_mixed_degrees_degrades_to_chi():
@@ -312,18 +313,17 @@ def _rhom_pool():
     return pool + kernels
 
 
-@pytest.mark.parametrize("fn", [rhom, rhom_chi], ids=["rhom", "rhom_chi"])
-def test_memoised_rhom_matches_the_uncached_function(fn):
+def test_memoised_rhom_matches_the_uncached_function():
     pool = _rhom_pool()
-    fn.cache_clear()
+    rhom.cache_clear()
     for a, b in itertools.product(pool, repeat=2):
-        expected = fn.__wrapped__(a, b)
-        misses = fn.cache_info().misses
-        assert fn(a, b) == expected, (a, b)
-        assert fn.cache_info().misses == misses + 1
-        hits = fn.cache_info().hits
-        assert fn(a, b) == expected, (a, b)
-        assert fn.cache_info().hits == hits + 1
+        expected = rhom.__wrapped__(a, b)
+        misses = rhom.cache_info().misses
+        assert rhom(a, b) == expected, (a, b)
+        assert rhom.cache_info().misses == misses + 1
+        hits = rhom.cache_info().hits
+        assert rhom_chi(a, b) == expected.euler(), (a, b)
+        assert rhom.cache_info().hits == hits + 1
 
 
 def test_chi_vector_separates_lefschetz_objects():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quintic.lattice import (
+    WeylClosureError,
     E,
     H,
     K,
@@ -215,3 +216,14 @@ def test_weyl_orbit_of_exceptional_is_all_minus_one_classes():
 
 def test_weyl_orbit_fixes_canonical_class():
     assert weyl_orbit({K}) == {K}
+
+
+def test_closure_under_a_faulty_reflection_fails_finitely(monkeypatch):
+    # d - (d.r) r is not an involution, so the orbits never close
+    import quintic.lattice
+
+    monkeypatch.setattr(quintic.lattice, "_reflect", lambda d, r: d - d.dot(r) * r)
+    with pytest.raises(WeylClosureError):
+        weyl_orbit([E[1]])
+    with pytest.raises(WeylClosureError):
+        weyl_group_elements()
