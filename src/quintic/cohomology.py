@@ -11,9 +11,10 @@ nef and that a nef class D has h^0 = chi(D) and no higher cohomology
 (Kawamata-Viehweg: D - K is nef and big).  h^2 is h^0(K - D) by Serre
 duality and h^1 closes the Euler characteristic.
 
-One round on a class D, with A the measure class described below:
+One round on a class D, with A the measure class and P_1, ..., P_k the nef
+rays described below:
 
-1. If D.(-K) < 0 or D.A < 0, then h^0(D) = 0.
+1. If D.(-K) < 0, D.A < 0 or D.P_j < 0 for some j, then h^0(D) = 0.
 2. If D.C >= 0 for every negative curve C, then h^0(D) = max(chi(D), 0).
 3. Otherwise let S = {C : D.C < 0} and solve (D - N).C = 0 for C in S, with
    N a rational combination of the curves of S.  Add to S every negative
@@ -57,12 +58,27 @@ S has nonnegative coefficients.
     and step 1 ends the rounds once A.D < 0: at most A.D + 1 rounds.  The
     drop is checked on every round; ReductionDivergenceError reports a
     failed check and is not a size cap.
+(e) Step 1 passes only pseudo-effective classes.  The nef cone
+    {D : D.C >= 0 for every negative curve C} is polyhedral, and pointed
+    (D and -D nef make D numerically trivial), so in rank 5 it is the cone
+    spanned by its extremal rays.  Each ray is cut out by four linearly
+    independent curve functionals; P_j is its primitive integer generator,
+    enumerated over all four-curve subsets by _nef_rays, and checked nef on
+    construction, so step 1 stays sound.  On a surface the pseudo-effective
+    cone is the dual of the nef cone (Kleiman), so a D with D.P_j >= 0 for
+    every j is pseudo-effective, and by (c) every S that step 3 meets on
+    it is negative definite: a Zariski chamber (Bauer, Kuronya and
+    Szemberg, "Zariski chambers, volumes, and stable base loci", 2004).
+    The -K and A tests are implied by the rays but kept: the sweep
+    pre-filter rests on -K, and (d) on A.  There are 10, 9, 9, 8, 7, 8, 7,
+    7, 7, 5, 5 and 5 rays on the twelve types, in catalog order.
 
 Support table.  Each type has one table keyed by the bitmask of S over
-negative_curves(t).all.  An entry is None (S not negative definite) or
-the indices of S, det = det(-M_S) and two integer matrices, which are the
-one definition of a round on S.  With D the row of its coefficients and
-b = (D.C) on S, det * N = adj(-M_S) (-b) is integral, and
+negative_curves(t).all.  An entry is None (S not negative definite, which
+by (e) the rounds never meet) or the indices of S, det = det(-M_S) and two
+integer matrices, which are the one definition of a round on S.  With D
+the row of its coefficients and b = (D.C) on S, det * N = adj(-M_S) (-b)
+is integral, and
 
     D @ solve = (-det * N on S, det * (D - N).C on every curve),
     -ceil(N) @ step = (the change of D, minus the drop of A.D),
@@ -73,7 +89,12 @@ the drop check of (d).  Entries are filled on first use: adj(-M_S) and det
 by Bareiss's fraction-free elimination, then solve and step by integer
 matrix products.  Scalar h_all applies them to one class in Python
 integers; sweep_box applies float64 copies to rows of classes, grouping
-its open rows by support mask at every growth step.
+its open rows by support mask at every growth step.  Step 1 and the masks
+of step 3 are read off one test matrix per type, the degrees of D on the
+curves, -K, A and the rays: scalar h_all reads its integer columns, and
+sweep_box its float64 copy, so the rows it groups are pseudo-effective
+and, once the twelve bound-4 sweeps have run, the tables hold exactly the
+532 nonempty Zariski chambers of the twelve types.
 
 Sweep pre-filter.  sweep_box needs h^0(D) and h^2(D) = h^0(K - D) on every
 class D of a box.  Since K^2 = 5, (K - D).(-K) = -5 - D.(-K), so at most
@@ -90,21 +111,25 @@ computed exactly, in whatever order BLAS adds, when the absolute values of
 its terms add up to less than 2^53.  Let X bound the absolute coefficients
 of the open rows at the start of a round; each round checks
 X <= FLOAT_EXACT_LIMIT = 2^25 and raises FloatRangeError otherwise.  Let m
-be the number of curves, r the number of (-2)-curves, c the largest
-absolute curve coefficient and g the largest |C.C'|.  -M_S is positive
-definite with diagonal entries 2 and 1, so by Hadamard's inequality its
-determinant and its principal minors are at most 2^r; adj(-M_S) is
-positive definite too, so every |adj_ij| is at most 2^r.  A round on S
-computes, per row, row @ solve, then -ceil(N) = floor(x / det) with
-x = -det * N, and -ceil(N) @ step, on the float64 copies of the two
-integer matrices of the support table.  With p = 5 c m 2^r the terms add
-up to at most X * F, where
+be the number of curves, r the number of (-2)-curves, k the number of nef
+rays, c the largest absolute curve coefficient and g the largest |C.C'|.
+-M_S is positive definite with diagonal entries 2 and 1, so by Hadamard's
+inequality its determinant and its principal minors are at most 2^r;
+adj(-M_S) is positive definite too, so every |adj_ij| is at most 2^r.  A
+round computes, per row, its degrees on the test matrix for step 1, then
+on S row @ solve, -ceil(N) = floor(x / det) with x = -det * N, and
+-ceil(N) @ step, on the float64 copies of the two integer matrices of the
+support table.  With p = 5 c m 2^r the terms add up to at most X * F,
+where
 
-    F = max(7, |A|_1, 5 c 2^r (1 + g m^2), 1 + m p max(c, A.C)),
+    F = max(7, |A|_1, max_j |P_j|_1, 5 c 2^r (1 + g m^2),
+            1 + m p max(c, A.C))
 
-the numerator D^2 - D.K of the Euler characteristic adds up to at most
-5 X (X + 3), and the products that pack sign tests into support masks
-stay below 2^(m + 2).  Each kernel checks F * 2^25 < 2^53 (F is at most
+(7 = |K|_1 for the -K test; max_j |P_j|_1 is at most 10, on III.2), the
+numerator D^2 - D.K of the Euler characteristic adds up to at most
+5 X (X + 3), and the products that pack sign tests into codes, weight 2^i
+on curve i, 2^m on -K and 2^(m + 1) on A and on each ray, stay below
+2^(m + 1) (k + 2).  Each kernel checks F * 2^25 < 2^53 (F is at most
 14401 on the twelve types, whose tables have det <= 6, |adj| <= 6,
 g <= 2 and c = 1), and 5 * 2^25 * (2^25 + 3) < 2^53.  So every value is
 an exact integer.
@@ -112,15 +137,16 @@ an exact integer.
 The floor of the float quotient is exact too.  IEEE division is correctly
 rounded, so the computed quotient of integers x and det >= 1 is q = x/det
 rounded to nearest, with error at most |x/det| * 2^-53.  If det divides x,
-x/det is an integer below 2^53 and q equals it.  Otherwise x/det = k + f
-with k = floor(x/det) and 1/det <= f <= 1 - 1/det; for |x| < 2^53 the error
-is below 1/det, so k < q < k + 1 and floor(q) = k.
+x/det is an integer below 2^53 and q equals it.  Otherwise x/det = n + f
+with n = floor(x/det) and 1/det <= f <= 1 - 1/det; for |x| < 2^53 the error
+is below 1/det, so n < q < n + 1 and floor(q) = n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from operator import add, mul
 from typing import NamedTuple, Sequence
 
@@ -209,10 +235,11 @@ def negative_curves(t: SurfaceType) -> NegativeCurveSet:
 class _Support:
     """A negative definite support S: its curve indices, det(-M_S) and the
     integer matrices solve and step of a round on S (module docstring,
-    support table), as tuples of their columns; batch() makes row-major
-    float64 copies (transposed views slow the matmuls) on first use."""
+    support table), as tuples of their columns for the scalar form, and
+    batch, their row-major float64 copies for the batch form (transposed
+    views slow the matmuls)."""
 
-    __slots__ = ("idx", "det", "solve", "step", "_batch")
+    __slots__ = ("idx", "det", "solve", "step", "batch")
 
     def __init__(self, kern: "_Kernel", idx: list[int], adj, det: int):
         self.idx = idx
@@ -222,13 +249,7 @@ class _Support:
         solve = np.hstack([neg_n, grow])
         step = np.column_stack([kern.cmat[idx], kern.measure_np[idx]])
         self.solve, self.step = (tuple(map(tuple, x.T.tolist())) for x in (solve, step))
-        self._batch = None
-
-    def batch(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._batch is None:
-            rows = ([*zip(*x)] for x in (self.solve, self.step))
-            self._batch = tuple(np.array(r, dtype=np.float64) for r in rows)
-        return self._batch
+        self.batch = (solve.astype(np.float64), step.astype(np.float64))
 
 
 def _solve_support(
@@ -263,10 +284,56 @@ def _solve_support(
     return tuple(tuple(row[n:]) for row in rows), prev
 
 
-class _Kernel:
-    """Per-type data of the Zariski rounds, shared by the scalar and batch forms."""
+def _sign(perm: tuple[int, ...]) -> int:
+    return (-1) ** sum(x > y for x, y in combinations(perm, 2))
 
-    def __init__(self, t: SurfaceType):
+
+# Laplace along the first three rows: det([x; r1; r2; r3; r4]) = x . v with
+# v_j the sum, over the splits of the other four columns into pairs a and b,
+# of sign(j, a, b) * (r1 ^ r2)_a * (r3 ^ r4)_b, where (r ^ s)_(c, d) is the
+# 2 x 2 minor r_c s_d - r_d s_c; one row (a, b, sign) per term, j-major
+_PAIRS = tuple(combinations(range(5), 2))
+_PAIR_C, _PAIR_D = np.array(_PAIRS).T
+_LAPLACE = np.array(
+    [
+        (_PAIRS.index(a), _PAIRS.index(b), _sign((j, *a, *b)))
+        for j in range(5)
+        for a in _PAIRS
+        for b in _PAIRS
+        if len({j, *a, *b}) == 5
+    ]
+).T
+
+
+def _nef_rays(func: np.ndarray) -> tuple[DivClass, ...]:
+    """The primitive integer generators of the extremal rays of the cone
+    {D : func @ D >= 0}, for an integer matrix func of rank 5.
+
+    Every extremal ray of a pointed polyhedral cone in rank 5 is cut out by
+    four linearly independent facet functionals, and spans the kernel of
+    those four rows.  For each four rows the vector v of signed 4 x 4
+    minors, computed exactly in int64 by the Laplace expansion above, spans
+    that kernel when the rows are independent and is zero otherwise; a
+    nonzero v is kept, up to sign, when it is nonnegative on every row.
+    """
+    quads = func[np.array([*combinations(range(func.shape[0]), 4)], dtype=np.intp)]
+    c, d = quads[..., _PAIR_C], quads[..., _PAIR_D]
+    wedge = c[:, 0::2] * d[:, 1::2] - d[:, 0::2] * c[:, 1::2]  # r1 ^ r2 and r3 ^ r4
+    a, b, sign = _LAPLACE
+    v = (wedge[:, 0, a] * wedge[:, 1, b] * sign).reshape(-1, 5, 6).sum(axis=2)
+    v = v[v.any(axis=1)]
+    v //= np.gcd.reduce(v, axis=1)[:, None]
+    degs = v @ func.T
+    v = np.concatenate([v[(degs >= 0).all(axis=1)], -v[(degs <= 0).all(axis=1)]])
+    return tuple(DivClass(r) for r in sorted(set(map(tuple, v.tolist()))))
+
+
+class _Kernel:
+    """Per-type data of the Zariski rounds, shared by the scalar and batch
+    forms.  rays are the nef classes of step 1, by default the extremal
+    rays of the nef cone; each is checked to be nef."""
+
+    def __init__(self, t: SurfaceType, rays: Sequence[DivClass] | None = None):
         nc = negative_curves(t)
         self.label = t.label
         self.curves = nc.all
@@ -289,11 +356,22 @@ class _Kernel:
         if any(x <= 0 for x in self.measure_degs):
             raise CohomologyConsistencyError(f"{t.label}: measure class not positive on curves")
         self.measure_np = np.array(self.measure_degs, dtype=np.int64)
-        # row @ test_cols: the degrees on the curves, on -K and on A
-        tests = [*self.curve_cols.T, _SIGNS * _ANTI_K.coeffs, _SIGNS * self.measure.coeffs]
-        self.test_cols = np.array(tests, dtype=np.float64).T
-        self.bits = 2.0 ** np.arange(m + 2)
-        self.code_dtype = np.min_scalar_type((1 << (m + 2)) - 1)
+        self.rays = _nef_rays(self.curve_cols.T) if rays is None else tuple(rays)
+        for ray in self.rays:
+            if any(ray.dot(c) < 0 for c in self.curves):
+                raise CohomologyConsistencyError(f"{t.label}: ray {ray.coeffs} is not nef")
+        k = len(self.rays)
+        # row @ test_cols: the degrees on the curves, then the step 1 tests on
+        # -K, A and the rays; the scalar form reads its integer columns
+        step1 = (_SIGNS * d.coeffs for d in (_ANTI_K, self.measure, *self.rays))
+        tests = np.array([*self.curve_cols.T, *step1], dtype=np.int64).T
+        columns = tuple(map(tuple, tests.T.tolist()))
+        self.curve_ints, self.step1_ints = columns[:m], columns[m:]
+        self.test_cols = tests.astype(np.float64)
+        # a negative degree sets bit i on curve i, bit m on -K and weighs
+        # 2^(m + 1) on A or a ray, so a code >= 2^m means step 1 ends the row
+        self.bits = np.minimum(2.0 ** np.arange(m + 2 + k), 2.0 ** (m + 1))
+        self.code_dtype = np.min_scalar_type(((k + 2) << (m + 1)) - 1)
         # the float64 carrier bound of the module docstring
         c = int(np.abs(self.cmat).max(initial=0))
         g = int(np.abs(self.gram_np).max(initial=0))
@@ -302,6 +380,7 @@ class _Kernel:
         factor = max(
             7,
             sum(map(abs, self.measure.coeffs)),
+            *(sum(map(abs, ray.coeffs)) for ray in self.rays),
             5 * c * alpha * (1 + g * m * m),
             1 + m * p * max(c, *self.measure_degs, 1),
         )
@@ -327,9 +406,15 @@ def _h0(coeffs: tuple[int, ...], t: SurfaceType) -> tuple[int, DivClass]:
     kern = _kernel(t)
     d = DivClass(coeffs)
     while True:
-        if d.dot(_ANTI_K) < 0 or d.dot(kern.measure) < 0:
-            return 0, d
-        mask = sum(1 << i for i, c in enumerate(kern.curves) if d.dot(c) < 0)
+        a, b1, b2, b3, b4 = d.coeffs
+        for x, y1, y2, y3, y4 in kern.step1_ints:  # step 1
+            if a * x + b1 * y1 + b2 * y2 + b3 * y3 + b4 * y4 < 0:
+                return 0, d
+        mask = sum(
+            1 << i
+            for i, (x, y1, y2, y3, y4) in enumerate(kern.curve_ints)
+            if a * x + b1 * y1 + b2 * y2 + b3 * y3 + b4 * y4 < 0
+        )
         if not mask:
             return max(chi_line(d), 0), d
         while True:  # step 3
@@ -337,7 +422,9 @@ def _h0(coeffs: tuple[int, ...], t: SurfaceType) -> tuple[int, DivClass]:
             if sup is None:
                 return 0, d
             s = len(sup.idx)
-            prod = [sum(map(mul, d.coeffs, col)) for col in sup.solve]
+            prod = [
+                a * x + b1 * y1 + b2 * y2 + b3 * y3 + b4 * y4 for x, y1, y2, y3, y4 in sup.solve
+            ]
             grown = mask | sum(1 << i for i, x in enumerate(prod[s:]) if x < 0)
             if grown == mask:
                 break
@@ -470,8 +557,8 @@ _CHUNK = 8192
 
 
 def _round_codes(rows: np.ndarray, kern: _Kernel) -> np.ndarray:
-    """Bit i of a row's code is set iff D.C_i < 0 for curve i; bits m and
-    m + 1 iff D.(-K) < 0 and iff D.A < 0 (step 1 of a round).
+    """Bit i of a row's code is set iff D.C_i < 0 for curve i, and the code
+    is at least 2^m iff step 1 of a round ends the row (kern.bits).
 
     Built _CHUNK rows at a time, so that the float64 temporaries stay small.
     """
@@ -513,7 +600,7 @@ def _h0_rows(rows: np.ndarray, kern: _Kernel) -> np.ndarray:
                 if sup is None:
                     continue
                 s = len(sup.idx)
-                solve, step = sup.batch()
+                solve, step = sup.batch
                 prod = cur[lo:hi] @ solve
                 grown = mask | ((prod[:, s:] < 0) @ kern.bits[:m]).astype(masks.dtype)
                 masks[lo:hi] = grown

@@ -2,20 +2,25 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quintic import cohomology
 from quintic.cohomology import (
     FLOAT_EXACT_LIMIT,
     CannotConcludeError,
+    CohomologyConsistencyError,
     FloatRangeError,
     _box,
     _h0,
     _h0_rows,
     _kernel,
+    _Kernel,
     _solve_support,
     ChainCertificate,
     ChainProblem,
@@ -26,7 +31,17 @@ from quintic.cohomology import (
     sweep_box,
 )
 from quintic.euler import chi_line
-from quintic.lattice import E, H, K, ZERO, DivClass, delta, line_through, minus_one_classes
+from quintic.lattice import (
+    E,
+    H,
+    K,
+    ZERO,
+    DivClass,
+    delta,
+    line_through,
+    minus_one_classes,
+    weyl_orbit,
+)
 from quintic.surfaces import a3_block_classes, catalog, surface_type
 
 
@@ -344,6 +359,106 @@ def test_bareiss_support_solve_matches_fraction_reference_on_every_subset():
                 # the table sizes quoted by the float64 carrier proof
                 assert 1 <= det <= 6 and max(abs(x) for row in adj for x in row) <= 6
     assert solved == 532
+
+
+def test_nef_rays_are_nef_and_each_vanishes_on_four_independent_curves():
+    counts = []
+    for t in catalog():
+        curves = negative_curves(t).all
+        rays = _kernel(t).rays
+        counts.append(len(rays))
+        assert len(set(rays)) == len(rays)
+        for ray in rays:
+            assert gcd(*ray.coeffs) == 1, (t.label, ray)
+            assert all(ray.dot(c) >= 0 for c in curves), (t.label, ray)
+            tight = [c.coeffs for c in curves if ray.dot(c) == 0]
+            assert np.linalg.matrix_rank(np.array(tight)) == 4, (t.label, ray)
+    assert counts == [10, 9, 9, 8, 7, 8, 7, 7, 7, 5, 5, 5]
+    # on the smooth type: the pullbacks of lines and the conic classes
+    lines, conics = weyl_orbit({H}), weyl_orbit({H - E[1]})
+    assert len(lines) == len(conics) == 5
+    assert set(_kernel(surface_type("I.1")).rays) == lines | conics
+
+
+def test_kernel_given_a_ray_that_is_not_nef_raises():
+    t = surface_type("II.3")
+    with pytest.raises(CohomologyConsistencyError, match="not nef"):
+        _Kernel(t, rays=(H, E[1]))
+    assert _Kernel(t, rays=(H,)).rays == (H,)
+
+
+def _kernels(kernels):
+    """Hand out the given per-type kernels in place of _kernel's."""
+    return mock.patch.object(cohomology, "_kernel", lambda t: kernels[t.label])
+
+
+def test_support_tables_after_bound_4_sweeps_are_the_zariski_chambers():
+    # Bauer-Kuronya-Szemberg: a pseudo-effective class meets only supports
+    # that are Zariski chambers, the negative definite curve sets.  Step 1
+    # passes only pseudo-effective classes, in the scalar and the batch
+    # form, so no table entry is None, and the twelve bound-4 sweeps visit
+    # every chamber but the nef one
+    kernels = {t.label: _Kernel(t) for t in catalog()}
+    with _kernels(kernels):
+        for t in catalog():
+            for d in _box(2).box.tolist():
+                _h0(tuple(d), t)
+            sweep_box(t, bound=4)
+    chambers = []
+    for t in catalog():
+        kern = kernels[t.label]
+        m = len(kern.curves)
+        negative_definite = {
+            mask
+            for mask in range(1, 1 << m)
+            if _solve_support(kern.gram, [i for i in range(m) if mask >> i & 1]) is not None
+        }
+        assert None not in kern._table.values(), t.label
+        assert set(kern._table) == negative_definite, t.label
+        chambers.append(1 + len(negative_definite))
+    # I.1: the Bauer-Funke-Neumann count for degree 5
+    assert chambers == [76, 59, 59, 50, 40, 50, 41, 40, 41, 29, 29, 30]
+
+
+def test_support_batch_copies_equal_the_integer_columns():
+    for t in catalog():
+        kern = _kernel(t)
+        for mask in range(1, 1 << len(kern.curves)):
+            sup = kern.support(mask)
+            if sup is None:
+                continue
+            for copy, cols in zip(sup.batch, (sup.solve, sup.step)):
+                assert copy.dtype == np.float64 and copy.flags.c_contiguous
+                assert copy.tolist() == [list(row) for row in zip(*cols)], (t.label, mask)
+
+
+@pytest.fixture(scope="module")
+def rayless_kernels():
+    return {t.label: _Kernel(t, rays=()) for t in catalog()}
+
+
+@pytest.mark.parametrize("label", [t.label for t in catalog()])
+@settings(deadline=None)
+@given(coeffs=st.tuples(*[st.integers(-64, 64)] * 5))
+@example(coeffs=(64, -64, -64, -64, -64))
+@example(coeffs=(-64, 64, 64, 64, 64))
+def test_nef_rays_change_no_h_all(rayless_kernels, label, coeffs):
+    # step 1 on -K and A alone is the round of proofs (c) and (d) without
+    # the rays; the rays only end earlier the rows that have no sections
+    t, d = surface_type(label), DivClass(coeffs)
+    with _kernels(rayless_kernels):
+        without = h_all(d, t)
+    assert without == h_all(d, t)
+
+
+def test_nef_rays_change_no_bound_3_sweep(rayless_kernels):
+    for t in catalog():
+        with_rays = sweep_box(t, bound=3, return_arrays=True)
+        with _kernels(rayless_kernels):
+            without = sweep_box(t, bound=3, return_arrays=True)
+        a, b = with_rays.pop("arrays"), without.pop("arrays")
+        assert with_rays == without
+        assert all((a[k] == b[k]).all() for k in a), t.label
 
 
 def test_batch_row_past_the_float_limit_raises():
