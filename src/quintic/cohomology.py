@@ -11,16 +11,16 @@ nef and that a nef class D has h^0 = chi(D) and no higher cohomology
 (Kawamata-Viehweg: D - K is nef and big).  h^2 is h^0(K - D) by Serre
 duality and h^1 closes the Euler characteristic.
 
-One round on a class D, with A the measure class and P_1, ..., P_k the nef
-rays described below:
+One round on a class D, with P_1, ..., P_k the extremal rays of the nef
+cone described in (e):
 
-1. If D.(-K) < 0, D.A < 0 or D.P_j < 0 for some j, then h^0(D) = 0.
+1. If D.P_j < 0 for some j, then h^0(D) = 0.
 2. If D.C >= 0 for every negative curve C, then h^0(D) = max(chi(D), 0).
 3. Otherwise let S = {C : D.C < 0} and solve (D - N).C = 0 for C in S, with
    N a rational combination of the curves of S.  Add to S every negative
    curve C with (D - N).C < 0 and solve again, until no curve is added.
-   If the intersection matrix of S is not negative definite, h^0(D) = 0.
-4. Otherwise replace D by D - ceil(N) and start the next round.
+   By (c) and (e) the intersection matrix of S is negative definite.
+4. Replace D by D - ceil(N) and start the next round.
 
 Proofs.  Distinct irreducible curves meet nonnegatively, so when S is
 negative definite, -M_S (M_S its intersection matrix) is a nonsingular
@@ -38,44 +38,44 @@ S has nonnegative coefficients.
     gives E_S >= N.  E is integral, so E >= ceil(N): every section of O(D)
     vanishes on ceil(N), and multiplication by its equation identifies the
     sections of O(D - ceil N) with those of O(D).
-(c) If S is not negative definite, D is not pseudo-effective, so
-    h^0(D) = 0.  A pseudo-effective D has a Zariski decomposition
-    D = P + N_Z with P nef and supp N_Z negative definite (Zariski; Fujita
-    for pseudo-effective classes).  Bauer's lemma:
-    every S of step 3 lies in supp N_Z.  A first curve has
+(c) If D is pseudo-effective, every S of step 3 is negative definite.  D
+    has a Zariski decomposition D = P + N_Z with P nef and supp N_Z
+    negative definite (Zariski; Fujita for pseudo-effective classes).
+    Bauer's lemma: every S of step 3 lies in supp N_Z.  A first curve has
     N_Z.C = D.C - P.C < 0, so it is a component of N_Z.  If S lies in supp
     N_Z and is therefore negative definite, split N_Z = N_S + N' along S;
     for C in S, (N_S - N).C = -P.C - N'.C <= 0, so N_Z >= N by (*).  A curve
     added next has (D - N).C = P.C + (N_Z - N).C < 0 with P.C >= 0, so it is
     a component of the effective N_Z - N.  Subsets of a negative definite
     set are negative definite.
-(d) The rounds terminate.  A = m(-K) - Z, where Z is the combination of
-    the (-2)-curves with Z.C = -det(-M) on each of them (the adjugate of
-    -M applied to the all-ones vector) and m exceeds Z.L on every
-    irreducible (-1)-class L.  So A.C > 0 for every negative curve C, and A
-    is nef; step 1 is then sound.  By (a), ceil(N) is a nonzero effective
-    combination of negative curves, so A.D drops by at least 1 per round,
-    and step 1 ends the rounds once A.D < 0: at most A.D + 1 rounds.  The
-    drop is checked on every round; ReductionDivergenceError reports a
-    failed check and is not a size cap.
-(e) Step 1 passes only pseudo-effective classes.  The nef cone
-    {D : D.C >= 0 for every negative curve C} is polyhedral, and pointed
-    (D and -D nef make D numerically trivial), so in rank 5 it is the cone
-    spanned by its extremal rays.  Each ray is cut out by four linearly
-    independent curve functionals; P_j is its primitive integer generator,
-    enumerated over all four-curve subsets by _nef_rays, and checked nef on
-    construction, so step 1 stays sound.  On a surface the pseudo-effective
-    cone is the dual of the nef cone (Kleiman), so a D with D.P_j >= 0 for
-    every j is pseudo-effective, and by (c) every S that step 3 meets on
-    it is negative definite: a Zariski chamber (Bauer, Kuronya and
-    Szemberg, "Zariski chambers, volumes, and stable base loci", 2004).
-    The -K and A tests are implied by the rays but kept: the sweep
-    pre-filter rests on -K, and (d) on A.  There are 10, 9, 9, 8, 7, 8, 7,
-    7, 7, 5, 5 and 5 rays on the twelve types, in catalog order.
+(d) The rounds terminate.  The measure class is A = P_1 + ... + P_k.  Each
+    kernel checks A.C >= 1 on every negative curve C.  A class that passes
+    step 1 has A.D = D.P_1 + ... + D.P_k >= 0.  By (a), ceil(N) is a
+    nonzero effective combination of negative curves, so A.D drops by at
+    least 1 per round, and once A.D < 0 some D.P_j < 0 and step 1 ends the
+    rounds: at most A.D + 1 rounds.  This uses only that step 1 tests the
+    P_j, not that they are all the extremal rays.  The drop is checked on
+    every round; ReductionDivergenceError reports a failed check and is not
+    a size cap.
+(e) Step 1 is sound and passes only pseudo-effective classes.  Each P_j is
+    checked nef on construction, so D.P_j < 0 makes D not effective.  The
+    nef cone {D : D.C >= 0 for every negative curve C} is polyhedral, and
+    pointed (D and -D nef make D numerically trivial), so in rank 5 it is
+    the cone spanned by its extremal rays.  Each ray is cut out by four
+    linearly independent curve functionals; P_j is its primitive integer
+    generator, enumerated over all four-curve subsets by _nef_rays.  On a
+    surface the pseudo-effective cone is the dual of the nef cone
+    (Kleiman), so a D with D.P_j >= 0 for every j is pseudo-effective, and
+    by (c) every S that step 3 meets on it is negative definite: a Zariski
+    chamber (Bauer, Kuronya and Szemberg, "Zariski chambers, volumes, and
+    stable base loci", 2004).  There are 10, 9, 9, 8, 7, 8, 7, 7, 7, 5, 5
+    and 5 rays on the twelve types, in catalog order.
 
 Support table.  Each type has one table keyed by the bitmask of S over
-negative_curves(t).all.  An entry is None (S not negative definite, which
-by (e) the rounds never meet) or the indices of S, det = det(-M_S) and two
+negative_curves(t).all, filled on first use with the Zariski chambers the
+rounds meet.  A mask that is not negative definite raises
+CohomologyConsistencyError naming the type and the mask; by (e) no round
+asks for one.  An entry holds the indices of S, det = det(-M_S) and two
 integer matrices, which are the one definition of a round on S.  With D
 the row of its coefficients and b = (D.C) on S, det * N = adj(-M_S) (-b)
 is integral, and
@@ -85,25 +85,26 @@ is integral, and
 
 with -ceil(N) = floor(-det * N / det).  The columns of solve on the curves
 outside S are the growth test of step 3, and the last column of step is
-the drop check of (d).  Entries are filled on first use: adj(-M_S) and det
-by Bareiss's fraction-free elimination, then solve and step by integer
-matrix products.  Scalar h_all applies them to one class in Python
-integers; sweep_box applies float64 copies to rows of classes, grouping
-its open rows by support mask at every growth step.  Step 1 and the masks
-of step 3 are read off one test matrix per type, the degrees of D on the
-curves, -K, A and the rays: scalar h_all reads its integer columns, and
-sweep_box its float64 copy, so the rows it groups are pseudo-effective
-and, once the twelve bound-4 sweeps have run, the tables hold exactly the
-532 nonempty Zariski chambers of the twelve types.
+the drop check of (d).  adj(-M_S) and det come from Bareiss's
+fraction-free elimination, then solve and step from integer matrix
+products.  Scalar h_all applies them to one class in Python integers;
+sweep_box applies float64 copies to rows of classes, grouping its open
+rows by support mask at every growth step.  Step 1 and the masks of step
+3 are read off one test matrix per type, the degrees of D on the curves
+and on the rays: scalar h_all reads its integer columns, and sweep_box
+its float64 copy.  Once the twelve bound-4 sweeps have run, the tables
+hold exactly the 532 nonempty Zariski chambers of the twelve types.
 
 Sweep pre-filter.  sweep_box needs h^0(D) and h^2(D) = h^0(K - D) on every
-class D of a box.  Since K^2 = 5, (K - D).(-K) = -5 - D.(-K), so at most
-one of D and K - D passes the -K test of step 1, and neither does when
--5 < D.(-K) < 0.  The box, chi and D.(-K) do not depend on the type, and
-are computed once per bound; the batch rounds then run only on the D with
-D.(-K) >= 0 and the K - D with D.(-K) <= -5 (0.854 and 0.880 of the box
-size at bounds 4 and 5, against twice the box size).  Every other row has
-h^0 = 0 by the test its first round would apply.
+class D of a box.  -K is nef: by adjunction -K.C = C^2 + 2, which is 0 on
+a (-2)-curve and 1 on a (-1)-curve.  So D.(-K) < 0 gives h^0(D) = 0.
+Since K^2 = 5, (K - D).(-K) = -5 - D.(-K), so at most one of D and K - D
+meets -K nonnegatively, and neither does when -5 < D.(-K) < 0.  The box,
+chi and D.(-K) do not depend on the type, and are computed once per
+bound; the batch rounds then run only on the D with D.(-K) >= 0 and the
+K - D with D.(-K) <= -5 (0.854 and 0.880 of the box size at bounds 4 and
+5, against twice the box size).  Every other row has h^0 = 0 because -K
+is nef.
 
 Float64 carrier.  The batch form keeps its rows in float64 and runs every
 product there, used only to carry integers: a sum of integer products is
@@ -122,15 +123,13 @@ on S row @ solve, -ceil(N) = floor(x / det) with x = -det * N, and
 support table.  With p = 5 c m 2^r the terms add up to at most X * F,
 where
 
-    F = max(7, |A|_1, max_j |P_j|_1, 5 c 2^r (1 + g m^2),
-            1 + m p max(c, A.C))
+    F = max(max_j |P_j|_1, 5 c 2^r (1 + g m^2), 1 + m p max(c, A.C))
 
-(7 = |K|_1 for the -K test; max_j |P_j|_1 is at most 10, on III.2), the
-numerator D^2 - D.K of the Euler characteristic adds up to at most
-5 X (X + 3), and the products that pack sign tests into codes, weight 2^i
-on curve i, 2^m on -K and 2^(m + 1) on A and on each ray, stay below
-2^(m + 1) (k + 2).  Each kernel checks F * 2^25 < 2^53 (F is at most
-14401 on the twelve types, whose tables have det <= 6, |adj| <= 6,
+(max_j |P_j|_1 is at most 10, on III.2), the numerator D^2 - D.K of the
+Euler characteristic adds up to at most 5 X (X + 3), and the products
+that pack sign tests into codes, weight 2^i on curve i and 2^m on each
+ray, stay below 2^m (k + 1).  Each kernel checks F * 2^25 < 2^53 (F is at
+most 5761 on the twelve types, whose tables have det <= 6, |adj| <= 6,
 g <= 2 and c = 1), and 5 * 2^25 * (2^25 + 3) < 2^53.  So every value is
 an exact integer.
 
@@ -330,10 +329,11 @@ def _nef_rays(func: np.ndarray) -> tuple[DivClass, ...]:
 
 class _Kernel:
     """Per-type data of the Zariski rounds, shared by the scalar and batch
-    forms.  rays are the nef classes of step 1, by default the extremal
-    rays of the nef cone; each is checked to be nef."""
+    forms: the negative curves, the extremal rays of the nef cone (step 1),
+    their sum A (the measure class of (d)) and the support table of the
+    Zariski chambers."""
 
-    def __init__(self, t: SurfaceType, rays: Sequence[DivClass] | None = None):
+    def __init__(self, t: SurfaceType):
         nc = negative_curves(t)
         self.label = t.label
         self.curves = nc.all
@@ -342,58 +342,51 @@ class _Kernel:
         self.cmat = np.array([c.coeffs for c in self.curves], dtype=np.int64).reshape(m, 5)
         self.curve_cols = (self.cmat * _SIGNS).T
         self.gram_np = np.array(self.gram, dtype=np.int64).reshape(m, m)
-        self._table: dict[int, _Support | None] = {}
-        z = ZERO
-        if nc.minus_two:
-            solved = _solve_support(self.gram, tuple(range(len(nc.minus_two))))
-            if solved is None:
-                raise CohomologyConsistencyError(f"{t.label}: (-2)-curves not negative definite")
-            for row, c in zip(solved[0], nc.minus_two):
-                z = z + sum(row) * c
-        m_a = 1 + max((z.dot(l) for l in nc.minus_one_irred), default=0)
-        self.measure = m_a * -K - z
-        self.measure_degs = tuple(self.measure.dot(c) for c in self.curves)
-        if any(x <= 0 for x in self.measure_degs):
-            raise CohomologyConsistencyError(f"{t.label}: measure class not positive on curves")
-        self.measure_np = np.array(self.measure_degs, dtype=np.int64)
-        self.rays = _nef_rays(self.curve_cols.T) if rays is None else tuple(rays)
+        self._table: dict[int, _Support] = {}
+        self.rays = _nef_rays(self.curve_cols.T)
         for ray in self.rays:
             if any(ray.dot(c) < 0 for c in self.curves):
                 raise CohomologyConsistencyError(f"{t.label}: ray {ray.coeffs} is not nef")
+        measure = sum(self.rays, ZERO)
+        self.measure_np = np.array([measure.dot(c) for c in self.curves], dtype=np.int64)
+        if (self.measure_np <= 0).any():
+            raise CohomologyConsistencyError(f"{t.label}: measure class not positive on curves")
         k = len(self.rays)
-        # row @ test_cols: the degrees on the curves, then the step 1 tests on
-        # -K, A and the rays; the scalar form reads its integer columns
-        step1 = (_SIGNS * d.coeffs for d in (_ANTI_K, self.measure, *self.rays))
-        tests = np.array([*self.curve_cols.T, *step1], dtype=np.int64).T
+        # row @ test_cols: the degrees on the curves, then on the rays; the
+        # scalar form reads its integer columns
+        ray_cols = (_SIGNS * r.coeffs for r in self.rays)
+        tests = np.array([*self.curve_cols.T, *ray_cols], dtype=np.int64).T
         columns = tuple(map(tuple, tests.T.tolist()))
-        self.curve_ints, self.step1_ints = columns[:m], columns[m:]
+        self.curve_ints, self.ray_ints = columns[:m], columns[m:]
         self.test_cols = tests.astype(np.float64)
-        # a negative degree sets bit i on curve i, bit m on -K and weighs
-        # 2^(m + 1) on A or a ray, so a code >= 2^m means step 1 ends the row
-        self.bits = np.minimum(2.0 ** np.arange(m + 2 + k), 2.0 ** (m + 1))
-        self.code_dtype = np.min_scalar_type(((k + 2) << (m + 1)) - 1)
+        # a negative degree sets bit i on curve i and weighs 2^m on a ray, so
+        # a code >= 2^m means step 1 ends the row
+        self.bits = np.minimum(2.0 ** np.arange(m + k), 2.0**m)
+        self.code_dtype = np.min_scalar_type(((k + 1) << m) - 1)
         # the float64 carrier bound of the module docstring
         c = int(np.abs(self.cmat).max(initial=0))
         g = int(np.abs(self.gram_np).max(initial=0))
         alpha = 2 ** len(nc.minus_two)
         p = 5 * c * m * alpha
         factor = max(
-            7,
-            sum(map(abs, self.measure.coeffs)),
             *(sum(map(abs, ray.coeffs)) for ray in self.rays),
             5 * c * alpha * (1 + g * m * m),
-            1 + m * p * max(c, *self.measure_degs, 1),
+            1 + m * p * max(c, int(self.measure_np.max())),
         )
         if factor * FLOAT_EXACT_LIMIT >= 2**53:
             raise CohomologyConsistencyError(
                 f"{t.label}: float64 carrier bound {factor} * FLOAT_EXACT_LIMIT reaches 2^53"
             )
 
-    def support(self, mask: int) -> _Support | None:
+    def support(self, mask: int) -> _Support:
         if mask not in self._table:
             idx = [i for i in range(len(self.curves)) if mask >> i & 1]
             solved = _solve_support(self.gram, idx)
-            self._table[mask] = None if solved is None else _Support(self, idx, *solved)
+            if solved is None:
+                raise CohomologyConsistencyError(
+                    f"{self.label}: support mask {mask:#x} is not negative definite"
+                )
+            self._table[mask] = _Support(self, idx, *solved)
         return self._table[mask]
 
 
@@ -407,7 +400,7 @@ def _h0(coeffs: tuple[int, ...], t: SurfaceType) -> tuple[int, DivClass]:
     d = DivClass(coeffs)
     while True:
         a, b1, b2, b3, b4 = d.coeffs
-        for x, y1, y2, y3, y4 in kern.step1_ints:  # step 1
+        for x, y1, y2, y3, y4 in kern.ray_ints:  # step 1
             if a * x + b1 * y1 + b2 * y2 + b3 * y3 + b4 * y4 < 0:
                 return 0, d
         mask = sum(
@@ -419,8 +412,6 @@ def _h0(coeffs: tuple[int, ...], t: SurfaceType) -> tuple[int, DivClass]:
             return max(chi_line(d), 0), d
         while True:  # step 3
             sup = kern.support(mask)
-            if sup is None:
-                return 0, d
             s = len(sup.idx)
             prod = [
                 a * x + b1 * y1 + b2 * y2 + b3 * y3 + b4 * y4 for x, y1, y2, y3, y4 in sup.solve
@@ -597,8 +588,6 @@ def _h0_rows(rows: np.ndarray, kern: _Kernel) -> np.ndarray:
             for lo, hi in zip(starts, np.r_[starts[1:], idx.size]):
                 mask = int(masks[lo])
                 sup = kern.support(mask)
-                if sup is None:
-                    continue
                 s = len(sup.idx)
                 solve, step = sup.batch
                 prod = cur[lo:hi] @ solve
@@ -609,9 +598,12 @@ def _h0_rows(rows: np.ndarray, kern: _Kernel) -> np.ndarray:
                 if stay.any():
                     # -ceil(N), exactly (module docstring, float64 carrier)
                     delta = np.floor(prod[stay, :s] / sup.det) @ step
-                    if (delta[:, 5] >= 0).any():
+                    stuck = delta[:, 5] >= 0
+                    if stuck.any():
+                        start = rows[idx[lo:hi][stay][stuck][0]]
                         raise ReductionDivergenceError(
-                            f"Zariski round did not lower A.D in sweep on {kern.label}"
+                            "Zariski round did not lower A.D at "
+                            f"{tuple(int(x) for x in start)} on {kern.label}"
                         )
                     next_cur.append(cur[lo:hi][stay] + delta[:, :5])
                     next_idx.append(idx[lo:hi][stay])
@@ -652,13 +644,7 @@ def _serre_mirror(bound: int) -> tuple[np.ndarray, np.ndarray]:
     return inside, index
 
 
-def sweep_box(
-    t: SurfaceType,
-    bound: int = 4,
-    spot_checks: int = 0,
-    seed: int = 0,
-    return_arrays: bool = False,
-) -> dict:
+def sweep_box(t: SurfaceType, bound: int = 4, return_arrays: bool = False) -> dict:
     """h_all on every class with |coefficients| <= bound, with consistency
     checks (h^1 >= 0, parity of chi, the drop of A.D) built in.
 
@@ -678,15 +664,6 @@ def sweep_box(
         bad = box[h1_d < 0][0]
         raise CohomologyConsistencyError(f"negative h^1 at {tuple(bad)} on {t.label}")
 
-    if spot_checks:
-        rng = np.random.default_rng(seed)
-        for idx in rng.integers(0, n, size=spot_checks):
-            d = DivClass(tuple(int(x) for x in box[idx]))
-            if h_all(d, t) != (int(h0_d[idx]), int(h1_d[idx]), int(h2_d[idx])):
-                raise CohomologyConsistencyError(
-                    f"sweep disagrees with scalar path at {d!r} on {t.label}"
-                )
-
     info = {
         "type": t.label,
         "bound": bound,
@@ -694,7 +671,6 @@ def sweep_box(
         "effective": int((h0_d > 0).sum()),
         "h1_positive": int((h1_d > 0).sum()),
         "max_h0": int(h0_d.max()),
-        "spot_checks": spot_checks,
     }
     if return_arrays:
         info["arrays"] = {"box": box, "h0": h0_d, "h1": h1_d, "h2": h2_d, "chi": chi}

@@ -16,6 +16,7 @@ from quintic.cohomology import (
     CannotConcludeError,
     CohomologyConsistencyError,
     FloatRangeError,
+    ReductionDivergenceError,
     _box,
     _h0,
     _h0_rows,
@@ -290,7 +291,7 @@ def test_r1_vanishing_exhaustive_hypothesis_sweep():
 
 def test_sweep_box_small_bound_consistency():
     for t in catalog():
-        info = sweep_box(t, bound=2, spot_checks=25, seed=7)
+        info = sweep_box(t, bound=2)
         assert info["classes"] == 5**5
         assert info["h1_positive"] > 0
         assert info["max_h0"] >= chi_line(2 * H)
@@ -298,25 +299,39 @@ def test_sweep_box_small_bound_consistency():
 
 def test_sweep_matches_scalar_on_known_values():
     t = surface_type("I.1")
-    info = sweep_box(t, bound=2, spot_checks=50, seed=123)
+    info = sweep_box(t, bound=2, return_arrays=True)
     assert info["type"] == "I.1"
+    arr = info["arrays"]
+    for i in np.random.default_rng(123).integers(0, info["classes"], size=50).tolist():
+        got = tuple(int(arr[h][i]) for h in ("h0", "h1", "h2"))
+        assert got == h_all(DivClass(tuple(arr["box"][i].tolist())), t), i
 
 
 def test_suite_sweep_consistency_check_is_real():
     from quintic.suites import _sweep_consistent
 
-    info = sweep_box(surface_type("III.1"), bound=2, return_arrays=True)
-    assert _sweep_consistent(info)
+    t, seed = surface_type("III.1"), 5
+    info = sweep_box(t, bound=2, return_arrays=True)
+    assert _sweep_consistent(info, t, seed)
     arr = info["arrays"]
+    inside = [all(abs(k - x) <= 2 for k, x in zip(K.coeffs, r)) for r in arr["box"].tolist()]
     # a wrong h^2 on a row whose Serre mirror K - D lies in the box; h^1
     # moves with it, so only duality can catch it
-    row = next(
-        i for i, r in enumerate(arr["box"].tolist())
-        if all(abs(k - x) <= 2 for k, x in zip(K.coeffs, r))
-    )
+    row = inside.index(True)
     arr["h2"][row] += 1
     arr["h1"][row] += 1
-    assert not _sweep_consistent(info)
+    assert not _sweep_consistent(info, t, seed)
+    arr["h2"][row] -= 1
+    arr["h1"][row] -= 1
+    assert _sweep_consistent(info, t, seed)
+    # a wrong h^0 on a sampled row whose mirror lies outside the box; h^1
+    # moves with it, so only the scalar comparison can catch it
+    sampled = np.random.default_rng(seed).integers(0, info["classes"], size=20).tolist()
+    row = next(i for i in sampled if not inside[i])
+    arr["h0"][row] += 1
+    arr["h1"][row] += 1
+    assert not _sweep_consistent(info, t, seed)
+    assert _sweep_consistent(info, t, seed + 1)
 
 
 def _fraction_solve_support(gram, idx):
@@ -380,11 +395,38 @@ def test_nef_rays_are_nef_and_each_vanishes_on_four_independent_curves():
     assert set(_kernel(surface_type("I.1")).rays) == lines | conics
 
 
+def _rays(*rays):
+    """Hand out the given classes in place of _nef_rays's enumeration."""
+    return mock.patch.object(cohomology, "_nef_rays", lambda func: rays)
+
+
 def test_kernel_given_a_ray_that_is_not_nef_raises():
     t = surface_type("II.3")
-    with pytest.raises(CohomologyConsistencyError, match="not nef"):
-        _Kernel(t, rays=(H, E[1]))
-    assert _Kernel(t, rays=(H,)).rays == (H,)
+    with _rays(H, E[1]), pytest.raises(CohomologyConsistencyError, match="not nef"):
+        _Kernel(t)
+
+
+def test_kernel_whose_rays_sum_to_zero_on_a_curve_raises():
+    # A = the sum of the rays must meet every negative curve positively,
+    # which h (zero on the (-2)-curves e_i - e_j) alone does not
+    t = surface_type("II.3")
+    with _rays(H), pytest.raises(CohomologyConsistencyError, match="measure class not positive"):
+        _Kernel(t)
+
+
+def test_support_of_a_mask_that_is_not_negative_definite_raises():
+    kern = _Kernel(surface_type("I.1"))
+    m = len(kern.curves)
+    with pytest.raises(CohomologyConsistencyError, match="I.1: support mask 0x14 is not"):
+        kern.support(0x14)
+    refused = 0
+    for mask in range(1, 1 << m):
+        if _solve_support(kern.gram, [i for i in range(m) if mask >> i & 1]) is None:
+            refused += 1
+            with pytest.raises(CohomologyConsistencyError, match=f"mask {mask:#x} "):
+                kern.support(mask)
+    assert refused == 948
+    assert kern._table == {}
 
 
 def _kernels(kernels):
@@ -396,8 +438,7 @@ def test_support_tables_after_bound_4_sweeps_are_the_zariski_chambers():
     # Bauer-Kuronya-Szemberg: a pseudo-effective class meets only supports
     # that are Zariski chambers, the negative definite curve sets.  Step 1
     # passes only pseudo-effective classes, in the scalar and the batch
-    # form, so no table entry is None, and the twelve bound-4 sweeps visit
-    # every chamber but the nef one
+    # form, and the twelve bound-4 sweeps visit every chamber but the nef one
     kernels = {t.label: _Kernel(t) for t in catalog()}
     with _kernels(kernels):
         for t in catalog():
@@ -413,7 +454,6 @@ def test_support_tables_after_bound_4_sweeps_are_the_zariski_chambers():
             for mask in range(1, 1 << m)
             if _solve_support(kern.gram, [i for i in range(m) if mask >> i & 1]) is not None
         }
-        assert None not in kern._table.values(), t.label
         assert set(kern._table) == negative_definite, t.label
         chambers.append(1 + len(negative_definite))
     # I.1: the Bauer-Funke-Neumann count for degree 5
@@ -423,18 +463,14 @@ def test_support_tables_after_bound_4_sweeps_are_the_zariski_chambers():
 def test_support_batch_copies_equal_the_integer_columns():
     for t in catalog():
         kern = _kernel(t)
-        for mask in range(1, 1 << len(kern.curves)):
-            sup = kern.support(mask)
-            if sup is None:
+        m = len(kern.curves)
+        for mask in range(1, 1 << m):
+            if _solve_support(kern.gram, [i for i in range(m) if mask >> i & 1]) is None:
                 continue
+            sup = kern.support(mask)
             for copy, cols in zip(sup.batch, (sup.solve, sup.step)):
                 assert copy.dtype == np.float64 and copy.flags.c_contiguous
                 assert copy.tolist() == [list(row) for row in zip(*cols)], (t.label, mask)
-
-
-@pytest.fixture(scope="module")
-def rayless_kernels():
-    return {t.label: _Kernel(t, rays=()) for t in catalog()}
 
 
 @pytest.mark.parametrize("label", [t.label for t in catalog()])
@@ -442,23 +478,33 @@ def rayless_kernels():
 @given(coeffs=st.tuples(*[st.integers(-64, 64)] * 5))
 @example(coeffs=(64, -64, -64, -64, -64))
 @example(coeffs=(-64, 64, 64, 64, 64))
-def test_nef_rays_change_no_h_all(rayless_kernels, label, coeffs):
-    # step 1 on -K and A alone is the round of proofs (c) and (d) without
-    # the rays; the rays only end earlier the rows that have no sections
+def test_nef_rays_change_no_h_all(label, coeffs):
+    # the peeling oracle tests only -K and no ray, so the rays may only end
+    # earlier the rows that have no sections; |coeff| <= 64 is the range of
+    # the point_queries benchmark
     t, d = surface_type(label), DivClass(coeffs)
-    with _kernels(rayless_kernels):
-        without = h_all(d, t)
-    assert without == h_all(d, t)
+    curves = negative_curves(t).all
+    h0 = _peel_h0(d, curves, steps=1000)[0]
+    h2 = _peel_h0(K - d, curves, steps=1000)[0]
+    assert h_all(d, t) == (h0, h0 + h2 - chi_line(d), h2)
 
 
-def test_nef_rays_change_no_bound_3_sweep(rayless_kernels):
-    for t in catalog():
-        with_rays = sweep_box(t, bound=3, return_arrays=True)
-        with _kernels(rayless_kernels):
-            without = sweep_box(t, bound=3, return_arrays=True)
-        a, b = with_rays.pop("arrays"), without.pop("arrays")
-        assert with_rays == without
-        assert all((a[k] == b[k]).all() for k in a), t.label
+def test_batch_and_scalar_divergence_errors_name_the_starting_class():
+    # a step matrix whose drop column reads 0 breaks the measure check of
+    # proof (d) in both forms
+    t, start = surface_type("II.1"), (3, -1, -4, 0, 0)
+    kern = _Kernel(t)
+    rows = np.array([(0, 0, 0, 0, 0), start], dtype=np.float64)
+    assert _h0_rows(rows, kern).tolist() == [1, _h0(start, t)[0]]
+    assert kern._table
+    for sup in kern._table.values():
+        sup.batch[1][:, 5] = 0
+        sup.step = (*sup.step[:5], (0,) * len(sup.idx))
+    message = r"did not lower A\.D at \(3, -1, -4, 0, 0\) on II\.1$"
+    with pytest.raises(ReductionDivergenceError, match=message):
+        _h0_rows(rows, kern)
+    with _kernels({"II.1": kern}), pytest.raises(ReductionDivergenceError, match=message):
+        _h0(start, t)
 
 
 def test_batch_row_past_the_float_limit_raises():
