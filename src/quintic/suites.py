@@ -102,9 +102,13 @@ def suite_mutations(seed: int) -> dict:
 
 def _sweep_consistent(info: dict, t, seed: int) -> bool:
     """Serre duality h^2(D) = h^0(K - D) wherever the mirror K - D of a sweep
-    row lies in the box, and scalar h_all on 20 seeded rows.  Riemann-Roch
-    and h^1 >= 0 need no check: sweep_box defines h^1 as h^0 + h^2 - chi and
-    raises on a negative one."""
+    row lies in the box, and scalar h_all on 20 seeded rows.  sweep_box
+    solves each class once, so both sides of the duality read one kernel
+    row: that conjunct checks the maps h0_at and h2_at of _box against the
+    mirror index _serre_mirror derives from the box alone.  The scalar rows
+    check the batch rounds themselves.  Riemann-Roch and h^1 >= 0 need no
+    check: sweep_box defines h^1 as h^0 + h^2 - chi and raises on a
+    negative one."""
     arr = info["arrays"]
     inside, index = _serre_mirror(info["bound"])
     rows = np.random.default_rng(seed).integers(0, info["classes"], size=20)

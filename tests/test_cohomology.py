@@ -308,7 +308,7 @@ def test_sweep_matches_scalar_on_known_values():
 
 
 def test_suite_sweep_consistency_check_is_real():
-    from quintic.suites import _sweep_consistent
+    from quintic.suites import _sweep_consistent, suite_cohomology
 
     t, seed = surface_type("III.1"), 5
     info = sweep_box(t, bound=2, return_arrays=True)
@@ -332,6 +332,14 @@ def test_suite_sweep_consistency_check_is_real():
     arr["h1"][row] += 1
     assert not _sweep_consistent(info, t, seed)
     assert _sweep_consistent(info, t, seed + 1)
+    # each class is one kernel row, so h^2(D) and h^0(K - D) read the same
+    # row; the Serre conjunct checks _box's map to that row against
+    # _serre_mirror.  A map shifted by one row flips it on every type
+    data = _box(4)
+    shifted = data._replace(h2_at=np.roll(data.h2_at, -1))
+    with mock.patch.object(cohomology, "_box", lambda bound: shifted):
+        details = suite_cohomology(seed)
+    assert not any(details[f"{u.label}: |coeff|<=4 sweep consistent"] for u in catalog())
 
 
 def _fraction_solve_support(gram, idx):
@@ -549,16 +557,42 @@ def test_scalar_and_batch_rounds_agree_on_point_query_classes(label, coeffs):
 def test_sweep_prefilter_drops_only_rows_with_no_sections():
     # (K - D).(-K) = -5 - D.(-K): in the gap -5 < D.(-K) < 0 neither D nor
     # K - D passes step 1, so sweep_box never sends them to the kernel
-    box, _, anti_k, rows = _box(3)
+    box, _, anti_k, rows, h0_at, h2_at = _box(3)
     classes = [DivClass(tuple(d)) for d in box.tolist()]
     assert anti_k.tolist() == [d.dot(-K) for d in classes]
     assert [(K - d).dot(-K) for d in classes] == (-5 - anti_k).tolist()
     gap = box[(anti_k > -5) & (anti_k < 0)].tolist()
-    assert len(gap) + rows.shape[0] == box.shape[0]
+    assert len(gap) + h0_at.size + h2_at.size == box.shape[0]
+    # every needed class is one row, and the maps find it
+    assert len(set(map(tuple, rows.tolist()))) == rows.shape[0]
+    assert (rows[h0_at] == box[anti_k >= 0]).all()
+    assert (rows[h2_at] == np.array(K.coeffs) - box[anti_k <= -5]).all()
     for t in catalog():
         for d in gap:
             assert _h0(tuple(d), t)[0] == 0, (t.label, d)
             assert _h0((K - DivClass(tuple(d))).coeffs, t)[0] == 0, (t.label, d)
+    assert [_box(b).rows.shape[0] for b in (4, 5)] == [40745, 108202]
+
+
+def test_sweep_agrees_with_kernel_runs_on_d_and_k_minus_d_separately():
+    # the sweep solves a class needed as D and as K - D once; two separate
+    # kernel batches, one of the D rows and one of the K - D rows, repeat
+    # the work it shares
+    box, _, anti_k, *_ = _box(3)
+    d_rows, mirror_rows = anti_k >= 0, anti_k <= -5
+    for t in catalog():
+        arr = sweep_box(t, bound=3, return_arrays=True)["arrays"]
+        kern = _kernel(t)
+        h0 = _h0_rows(box[d_rows].astype(np.float64), kern)
+        h2 = _h0_rows((np.array(K.coeffs) - box[mirror_rows]).astype(np.float64), kern)
+        assert (h0 == arr["h0"][d_rows]).all(), t.label
+        assert (h2 == arr["h2"][mirror_rows]).all(), t.label
+
+
+@pytest.mark.parametrize("bound", [-1, True, False, 2.5, "3", None])
+def test_sweep_box_rejects_a_bound_that_is_not_a_nonnegative_int(bound):
+    with pytest.raises(ValueError, match="sweep bound"):
+        sweep_box(surface_type("I.1"), bound=bound)
 
 
 def test_sweep_box_arrays_are_shared_read_only_and_repeatable():
