@@ -95,17 +95,22 @@ and on the rays: scalar h_all reads its integer columns, and sweep_box
 its float64 copy.  Once the twelve bound-4 sweeps have run, the tables
 hold exactly the 532 nonempty Zariski chambers of the twelve types.
 
-Sweep pre-filter.  sweep_box needs h^0(D) and h^2(D) = h^0(K - D) on every
-class D of a box.  -K is nef: by adjunction -K.C = C^2 + 2, which is 0 on
-a (-2)-curve and 1 on a (-1)-curve.  So D.(-K) < 0 gives h^0(D) = 0.
-Since K^2 = 5, (K - D).(-K) = -5 - D.(-K), so at most one of D and K - D
-meets -K nonnegatively, and neither does when -5 < D.(-K) < 0.  The box,
-chi and D.(-K) do not depend on the type, and are computed once per
-bound; the batch rounds then run only on the D with D.(-K) >= 0 and the
-K - D with D.(-K) <= -5, and solve each such class once, though a class
-can be needed both as D and as K - D (0.690 and 0.672 of the box size at
-bounds 4 and 5, against twice the box size).  Every other row has h^0 = 0
-because -K is nef.
+The -K pre-filter.  Both forms need h^0(D) and h^2(D) = h^0(K - D), and
+run the rounds on one of the two classes at most.  -K is nef: by
+adjunction -K.C = C^2 + 2, which is 0 on a (-2)-curve and 1 on a
+(-1)-curve, and each kernel checks -K.C >= 0 on its curves.  So -K lies in
+the nef cone, and by (e) it is a nonnegative combination of the rays P_j.
+A class X with X.(-K) < 0 therefore has X.P_j < 0 for some j, and step 1
+ends it with h^0(X) = 0; skipping its rounds changes no answer.  Since
+K^2 = 5, (K - D).(-K) = -5 - D.(-K), so at most one of D and K - D meets -K
+nonnegatively, and neither does when -5 < D.(-K) < 0.  Scalar h_all reads
+D.(-K) = 3a - b1 - b2 - b3 - b4 and runs the rounds on D when it is >= 0,
+on K - D when it is <= -5, and not at all in between.  sweep_box does the
+same for a box: the box, chi and D.(-K) do not depend on the type and are
+computed once per bound, and the batch rounds run only on the D with
+D.(-K) >= 0 and the K - D with D.(-K) <= -5, solving each such class once,
+though a class can be needed both as D and as K - D (0.690 and 0.672 of
+the box size at bounds 4 and 5, against twice the box size).
 
 Float64 carrier.  The batch form keeps its rows in float64 and runs every
 product there, used only to carry integers: a sum of integer products is
@@ -147,7 +152,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from operator import add, mul
+from operator import mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -344,6 +349,12 @@ class _Kernel:
         self.curve_cols = (self.cmat * _SIGNS).T
         self.gram_np = np.array(self.gram, dtype=np.int64).reshape(m, m)
         self._table: dict[int, _Support] = {}
+        # the -K pre-filter of h_all and _box rests on -K being nef
+        for c in self.curves:
+            if c.dot(_ANTI_K) < 0:
+                raise CohomologyConsistencyError(
+                    f"{t.label}: -K meets the negative curve {c.coeffs} negatively"
+                )
         self.rays = _nef_rays(self.curve_cols.T)
         for ray in self.rays:
             if any(ray.dot(c) < 0 for c in self.curves):
@@ -397,19 +408,21 @@ def _kernel(t: SurfaceType) -> _Kernel:
 
 
 def _h0(coeffs: tuple[int, ...], t: SurfaceType) -> tuple[int, DivClass]:
+    """h^0 of the class coeffs on t by Zariski rounds, and the class the
+    rounds end at."""
     kern = _kernel(t)
-    d = DivClass(coeffs)
+    a, b1, b2, b3, b4 = coeffs
     while True:
-        a, b1, b2, b3, b4 = d.coeffs
         for x, y1, y2, y3, y4 in kern.ray_ints:  # step 1
             if a * x + b1 * y1 + b2 * y2 + b3 * y3 + b4 * y4 < 0:
-                return 0, d
-        mask = sum(
-            1 << i
-            for i, (x, y1, y2, y3, y4) in enumerate(kern.curve_ints)
-            if a * x + b1 * y1 + b2 * y2 + b3 * y3 + b4 * y4 < 0
-        )
+                return 0, DivClass((a, b1, b2, b3, b4))
+        mask, bit = 0, 1
+        for x, y1, y2, y3, y4 in kern.curve_ints:
+            if a * x + b1 * y1 + b2 * y2 + b3 * y3 + b4 * y4 < 0:
+                mask |= bit
+            bit <<= 1
         if not mask:
+            d = DivClass((a, b1, b2, b3, b4))
             return max(chi_line(d), 0), d
         while True:  # step 3
             sup = kern.support(mask)
@@ -417,23 +430,38 @@ def _h0(coeffs: tuple[int, ...], t: SurfaceType) -> tuple[int, DivClass]:
             prod = [
                 a * x + b1 * y1 + b2 * y2 + b3 * y3 + b4 * y4 for x, y1, y2, y3, y4 in sup.solve
             ]
-            grown = mask | sum(1 << i for i, x in enumerate(prod[s:]) if x < 0)
+            grown, bit = mask, 1
+            for x in prod[s:]:
+                if x < 0:
+                    grown |= bit
+                bit <<= 1
             if grown == mask:
                 break
             mask = grown
         neg_ceil = [x // sup.det for x in prod[:s]]
-        *change, measure_change = (sum(map(mul, neg_ceil, col)) for col in sup.step)
-        if measure_change >= 0:
+        da, db1, db2, db3, db4, drop = (sum(map(mul, neg_ceil, col)) for col in sup.step)
+        if drop >= 0:
             raise ReductionDivergenceError(
                 f"Zariski round did not lower A.D at {coeffs} on {t.label}"
             )
-        d = DivClass(tuple(map(add, d.coeffs, change)))
+        a, b1, b2, b3, b4 = a + da, b1 + db1, b2 + db2, b3 + db3, b4 + db4
 
 
 def h_all(d: DivClass, t: SurfaceType) -> tuple[int, int, int]:
-    """Exact (h^0, h^1, h^2) of O(D) on the given surface type."""
-    h0 = _h0(d.coeffs, t)[0]
-    h2 = _h0((K - d).coeffs, t)[0]
+    """Exact (h^0, h^1, h^2) of O(D) on the given surface type.
+
+    The rounds run on one side only, by the -K pre-filter of the module
+    docstring: on D when D.(-K) >= 0, on K - D when D.(-K) <= -5, and on
+    neither in between.  A side they skip meets -K negatively, so some nef
+    ray negatively, and has h^0 = 0.
+    """
+    a, b1, b2, b3, b4 = d.coeffs
+    anti_k = 3 * a - b1 - b2 - b3 - b4
+    h0 = h2 = 0
+    if anti_k >= 0:
+        h0 = _h0(d.coeffs, t)[0]
+    elif anti_k <= -5:
+        h2 = _h0((-3 - a, -1 - b1, -1 - b2, -1 - b3, -1 - b4), t)[0]
     h1 = h0 + h2 - chi_line(d)
     if h1 < 0:
         raise CohomologyConsistencyError(
@@ -635,7 +663,7 @@ class _BoxData(NamedTuple):
 def _box(bound: int) -> _BoxData:
     """The type-independent data of a sweep at bound, shared read-only by
     every type: rows holds each of the D with D.(-K) >= 0 and the K - D with
-    D.(-K) <= -5 once (module docstring, sweep pre-filter), in the order of
+    D.(-K) <= -5 once (module docstring, the -K pre-filter), in the order of
     their codes in the grid that holds both the box and K - box."""
     box = np.indices((2 * bound + 1,) * 5, dtype=np.int64).reshape(5, -1).T - bound
     anti_k = box @ (_SIGNS * _ANTI_K.coeffs)

@@ -20,9 +20,12 @@ Everything here implements characteristic-zero semantics.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial, prod
+from operator import add, lt, sub
 from typing import Sequence
 
 from .mutations import ExcCollection, assert_unitriangular, run_walk
@@ -59,21 +62,30 @@ class DimensionError(ArithmeticError):
     """A dimension identity of GL(n) representations fails."""
 
 
+@lru_cache(maxsize=None)
+def _superfactorial(n: int) -> int:
+    """0! 1! ... (n-1)!, the product of j - i over 0 <= i < j < n."""
+    return prod(map(factorial, range(n)))
+
+
+def _weyl_product(v: tuple[int, ...]) -> int:
+    """Weyl's dimension formula on v = lam + rho, strictly decreasing: the
+    product of v_i - v_j over i < j, which is lam_i - lam_j + j - i, divided
+    by the superfactorial 0! 1! ... (n-1)!."""
+    num = prod(itertools.starmap(sub, itertools.combinations(v, 2)))
+    den = _superfactorial(len(v))
+    if num % den:
+        raise DimensionError(f"Weyl product for lam + rho = {v} is not divisible by {den}")
+    return num // den
+
+
 def weyl_dim(lam: Sequence[int]) -> int:
     """Dimension of the irreducible GL(n) module of highest weight lam,
     n = len(lam)."""
     lam = tuple(lam)
-    n = len(lam)
-    if any(lam[i] < lam[i + 1] for i in range(n - 1)):
+    if any(map(lt, lam, lam[1:])):
         raise ValueError(f"{lam} is not dominant")
-    num = den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= lam[i] - lam[j] + j - i
-            den *= j - i
-    if num % den:
-        raise DimensionError(f"Weyl product for {lam} is not divisible by {den}")
-    return num // den
+    return _weyl_product(tuple(map(add, lam, range(len(lam) - 1, -1, -1))))
 
 
 @dataclass(frozen=True)
@@ -88,20 +100,29 @@ def bott(alpha: tuple[int, ...], n: int) -> BottResult | None:
     """Cohomology of the weight alpha on the flag quotient with n = dim V.
 
     Returns None when all cohomology vanishes (alpha + rho has a repeat),
-    otherwise the unique (degree, dominant weight, dimension).
+    otherwise the unique (degree, dominant weight, dimension).  One pass
+    over v = alpha + rho inserts each entry into the sorted list of the
+    entries before it: the entries it lands above are its inversions, so the
+    degree is their total, and the list ends as sort(v), on which Weyl's
+    formula reads the dimension directly.
     """
     alpha = tuple(alpha)
     if len(alpha) != n:
         raise ValueError(f"weight length {len(alpha)} != {n}")
-    rho = tuple(range(n - 1, -1, -1))
-    v = tuple(a + r for a, r in zip(alpha, rho))
+    rho = range(n - 1, -1, -1)
+    v = tuple(map(add, alpha, rho))
     if len(set(v)) < n:
         return None
-    inversions = sum(
-        1 for i, j in itertools.combinations(range(n), 2) if v[i] < v[j]
-    )
-    lam = tuple(x - r for x, r in zip(sorted(v, reverse=True), rho))
-    return BottResult(inversions, lam, weyl_dim(lam))
+    ascending: list[int] = []
+    inversions = 0
+    for x in v:
+        i = bisect(ascending, x)
+        inversions += i
+        ascending.insert(i, x)
+    ascending.reverse()
+    v_sorted = tuple(ascending)
+    lam = tuple(map(sub, v_sorted, rho))
+    return BottResult(inversions, lam, _weyl_product(v_sorted))
 
 
 # ---------------------------------------------------------------------------

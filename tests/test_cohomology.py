@@ -422,6 +422,20 @@ def test_kernel_whose_rays_sum_to_zero_on_a_curve_raises():
         _Kernel(t)
 
 
+def test_kernel_given_a_curve_that_meets_minus_k_negatively_raises(monkeypatch):
+    # the -K pre-filter of h_all and sweep_box needs -K.C >= 0 on every
+    # negative curve; -e1 has -K-degree -1
+    t, minus_e1 = surface_type("II.1"), DivClass((0, 1, 0, 0, 0))
+    assert minus_e1.dot(-K) == -1
+    nc = negative_curves(t)
+    broken = cohomology.NegativeCurveSet(nc.minus_two, nc.minus_one_irred + (minus_e1,))
+    real = cohomology.negative_curves
+    monkeypatch.setattr(cohomology, "negative_curves", lambda u: broken if u == t else real(u))
+    with pytest.raises(CohomologyConsistencyError, match=r"^II\.1: .*\(0, 1, 0, 0, 0\)"):
+        _Kernel(t)
+    _Kernel(surface_type("II.2"))
+
+
 def test_support_of_a_mask_that_is_not_negative_definite_raises():
     kern = _Kernel(surface_type("I.1"))
     m = len(kern.curves)
@@ -572,6 +586,29 @@ def test_sweep_prefilter_drops_only_rows_with_no_sections():
             assert _h0(tuple(d), t)[0] == 0, (t.label, d)
             assert _h0((K - DivClass(tuple(d))).coeffs, t)[0] == 0, (t.label, d)
     assert [_box(b).rows.shape[0] for b in (4, 5)] == [40745, 108202]
+
+
+def test_h_all_runs_the_rounds_once_and_only_on_a_side_that_meets_minus_k(monkeypatch):
+    # h_all applies the -K pre-filter of the sweep: one _h0 per class, on D
+    # when D.(-K) >= 0, on K - D when D.(-K) <= -5 and on neither in between,
+    # with the answers of the two-sided rounds
+    box, chi, anti_k, *_ = _box(3)
+    calls = []
+
+    def counted(coeffs, t):
+        calls.append(coeffs)
+        return _h0(coeffs, t)
+
+    monkeypatch.setattr(cohomology, "_h0", counted)
+    for t in catalog():
+        for d, c, k in zip(box.tolist(), chi.tolist(), anti_k.tolist()):
+            d = DivClass(tuple(d))
+            calls.clear()
+            got = h_all(d, t)
+            assert len(calls) == (not -5 < k < 0), (t.label, d)
+            assert all(DivClass(x).dot(-K) >= 0 for x in calls), (t.label, d)
+            h0, h2 = _h0(d.coeffs, t)[0], _h0((K - d).coeffs, t)[0]
+            assert got == (h0, h0 + h2 - c, h2), (t.label, d)
 
 
 def test_sweep_agrees_with_kernel_runs_on_d_and_k_minus_d_separately():

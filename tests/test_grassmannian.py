@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -8,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quintic import grassmannian
 from quintic.grassmannian import (
+    BottResult,
     ChiOnly,
+    DimensionError,
     CohProfile,
     HomBundle,
     bott,
@@ -136,6 +140,62 @@ def test_bott_p4_closed_form():
             assert res.dim == comb(-d - 1, 4)
         else:
             assert res is None
+
+
+def _bott_reference(alpha, ssyt_cells):
+    """Bott's theorem by hand: sort alpha + rho, count its inversions pair
+    by pair, and take the dimension from the tableaux of a nonnegative shape
+    of at most ssyt_cells cells, else from the product formula."""
+    n = len(alpha)
+    v = [a + n - 1 - i for i, a in enumerate(alpha)]
+    if len(set(v)) < n:
+        return None
+    inversions = sum(v[i] < v[j] for i in range(n) for j in range(i + 1, n))
+    lam = tuple(x - (n - 1 - i) for i, x in enumerate(sorted(v, reverse=True)))
+    if lam[-1] >= 0 and sum(lam) <= ssyt_cells:
+        dim = _count_ssyt_cached(lam, n)
+    else:
+        dim = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                dim *= Fraction(lam[i] - lam[j] + j - i, j - i)
+        assert dim.denominator == 1
+    return BottResult(inversions, lam, int(dim))
+
+
+@lru_cache(maxsize=None)
+def _count_ssyt_cached(shape, n):
+    return count_ssyt(shape, n)
+
+
+def test_bott_matches_the_reference_on_every_small_weight():
+    # every weight of length 2-5 with entries in -3..3; all its nonnegative
+    # shapes have at most 15 cells
+    for n in range(2, 6):
+        for alpha in itertools.product(range(-3, 4), repeat=n):
+            assert bott(alpha, n) == _bott_reference(alpha, ssyt_cells=15), alpha
+    # the benchmark reads the unbounded cache and the uncached function
+    assert callable(bott.__wrapped__)
+    assert bott.cache_info().maxsize is None and bott.cache_info().currsize > 0
+
+
+@settings(deadline=None)
+@given(
+    st.integers(2, 8).flatmap(
+        lambda n: st.tuples(*[st.integers(-20, 20)] * n)
+    )
+)
+def test_bott_matches_the_reference_on_point_query_weights(alpha):
+    # lengths and entries of the point_queries benchmark; tableaux are
+    # enumerated one by one, so only shapes of at most 6 cells are counted
+    assert bott(alpha, len(alpha)) == _bott_reference(alpha, ssyt_cells=6)
+    assert bott.__wrapped__(alpha, len(alpha)) == bott(alpha, len(alpha))
+
+
+def test_weyl_dimension_checks_the_divisibility_of_the_product(monkeypatch):
+    monkeypatch.setattr(grassmannian, "_superfactorial", lambda n: 7)
+    with pytest.raises(DimensionError, match=r"lam \+ rho = \(3, 0\) is not divisible by 7"):
+        weyl_dim((2, 0))
 
 
 def test_bott_p1_closed_form():
