@@ -455,13 +455,12 @@ def h_all(d: DivClass, t: SurfaceType) -> tuple[int, int, int]:
     neither in between.  A side they skip meets -K negatively, so some nef
     ray negatively, and has h^0 = 0.
     """
-    a, b1, b2, b3, b4 = d.coeffs
-    anti_k = 3 * a - b1 - b2 - b3 - b4
+    anti_k = d.dot(_ANTI_K)
     h0 = h2 = 0
     if anti_k >= 0:
         h0 = _h0(d.coeffs, t)[0]
     elif anti_k <= -5:
-        h2 = _h0((-3 - a, -1 - b1, -1 - b2, -1 - b3, -1 - b4), t)[0]
+        h2 = _h0((K - d).coeffs, t)[0]
     h1 = h0 + h2 - chi_line(d)
     if h1 < 0:
         raise CohomologyConsistencyError(

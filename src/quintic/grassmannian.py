@@ -119,8 +119,7 @@ def bott(alpha: tuple[int, ...], n: int) -> BottResult | None:
         i = bisect(ascending, x)
         inversions += i
         ascending.insert(i, x)
-    ascending.reverse()
-    v_sorted = tuple(ascending)
+    v_sorted = tuple(ascending[::-1])
     lam = tuple(map(sub, v_sorted, rho))
     return BottResult(inversions, lam, _weyl_product(v_sorted))
 
