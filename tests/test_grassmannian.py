@@ -13,8 +13,8 @@ from quintic import grassmannian
 from quintic.grassmannian import (
     BottResult,
     ChiOnly,
-    DimensionError,
     CohProfile,
+    DimensionError,
     HomBundle,
     bott,
     chi_vector,
@@ -74,6 +74,7 @@ def ssyt_contents(shape, n):
     return contents
 
 
+@lru_cache(maxsize=None)
 def count_ssyt(shape, n):
     return sum(ssyt_contents(shape, n).values())
 
@@ -153,7 +154,7 @@ def _bott_reference(alpha, ssyt_cells):
     inversions = sum(v[i] < v[j] for i in range(n) for j in range(i + 1, n))
     lam = tuple(x - (n - 1 - i) for i, x in enumerate(sorted(v, reverse=True)))
     if lam[-1] >= 0 and sum(lam) <= ssyt_cells:
-        dim = _count_ssyt_cached(lam, n)
+        dim = count_ssyt(lam, n)
     else:
         dim = 1
         for i in range(n):
@@ -161,11 +162,6 @@ def _bott_reference(alpha, ssyt_cells):
                 dim *= Fraction(lam[i] - lam[j] + j - i, j - i)
         assert dim.denominator == 1
     return BottResult(inversions, lam, int(dim))
-
-
-@lru_cache(maxsize=None)
-def _count_ssyt_cached(shape, n):
-    return count_ssyt(shape, n)
 
 
 def test_bott_matches_the_reference_on_every_small_weight():
