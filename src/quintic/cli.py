@@ -189,7 +189,8 @@ def cmd_report(args) -> int:
 
 
 def non_negative_int(text: str) -> int:
-    """argparse type of --seed: the seeds random and numpy accept."""
+    """argparse type of --seed: a nonnegative int (random.Random seeds s
+    and -s alike)."""
     value = int(text)  # argparse reports the ValueError as an invalid value
     if value < 0:
         raise ValueError(text)

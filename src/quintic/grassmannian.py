@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
 from operator import add, lt, sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .mutations import ExcCollection, assert_unitriangular, run_walk
 
@@ -88,8 +88,7 @@ def weyl_dim(lam: Sequence[int]) -> int:
     return _weyl_product(tuple(map(add, lam, range(len(lam) - 1, -1, -1))))
 
 
-@dataclass(frozen=True)
-class BottResult:
+class BottResult(NamedTuple):
     degree: int
     weight: tuple[int, ...]
     dim: int

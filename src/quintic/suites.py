@@ -11,8 +11,6 @@ import random
 from fractions import Fraction
 from math import comb
 
-import numpy as np
-
 from . import __version__
 from .cohomology import (
     ChainProblem,
@@ -111,7 +109,8 @@ def _sweep_consistent(info: dict, t, seed: int) -> bool:
     negative one."""
     arr = info["arrays"]
     inside, index = _serre_mirror(info["bound"])
-    rows = np.random.default_rng(seed).integers(0, info["classes"], size=20)
+    rng = random.Random(seed)
+    rows = [rng.randrange(info["classes"]) for _ in range(20)]
     return bool(
         inside.any()
         and (arr["h2"][inside] == arr["h0"][index]).all()

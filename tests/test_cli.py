@@ -102,7 +102,7 @@ def test_verify_seed_echoed(capsys):
     "argv", [["verify"], ["verify", "cohomology"], ["--json", "report"]], ids=" ".join
 )
 def test_negative_seed_exits_2_with_an_error_line(capsys, argv):
-    # numpy's default_rng in the sweep check refuses a negative seed; bad input
+    # random.Random would seed -1 as 1, so the parser refuses it; bad input
     # exits 2 at the parser, not 1 as a failed verification
     with pytest.raises(SystemExit) as excinfo:
         main(["--seed", "-1", *argv])

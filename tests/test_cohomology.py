@@ -20,8 +20,10 @@ from quintic.cohomology import (
     _box,
     _h0,
     _h0_rows,
+    _int_dtype,
     _kernel,
     _Kernel,
+    _on_grid,
     _solve_support,
     ChainCertificate,
     ChainProblem,
@@ -326,7 +328,8 @@ def test_suite_sweep_consistency_check_is_real():
     assert _sweep_consistent(info, t, seed)
     # a wrong h^0 on a sampled row whose mirror lies outside the box; h^1
     # moves with it, so only the scalar comparison can catch it
-    sampled = np.random.default_rng(seed).integers(0, info["classes"], size=20).tolist()
+    rng = random.Random(seed)
+    sampled = [rng.randrange(info["classes"]) for _ in range(20)]
     row = next(i for i in sampled if not inside[i])
     arr["h0"][row] += 1
     arr["h1"][row] += 1
@@ -647,6 +650,92 @@ def test_sweep_box_arrays_are_shared_read_only_and_repeatable():
     for data in _box(2):
         with pytest.raises(ValueError):
             data[0] = 0
+
+
+def _box_reference(bound):
+    """_box built the plain way, in int64: the box from np.indices, D.(-K)
+    and chi by matrix products, the needed rows from a union of grid codes
+    and the maps by binary search."""
+    signs, k = np.array([1, -1, -1, -1, -1]), np.array(K.coeffs)
+    box = np.indices((2 * bound + 1,) * 5, dtype=np.int64).reshape(5, -1).T - bound
+    anti_k = box @ (signs * -k)
+    chi = (box * (box - k)) @ signs // 2 + 1
+    corner, sides = np.minimum(-bound, k - bound), 2 * bound + 1 + np.abs(k)
+    h0_codes = np.ravel_multi_index((box[anti_k >= 0] - corner).T, sides)
+    h2_codes = np.ravel_multi_index((k - box[anti_k <= -5] - corner).T, sides)
+    codes = np.union1d(h0_codes, h2_codes)
+    rows = np.stack(np.unravel_index(codes, sides), axis=1) + corner
+    at = (np.searchsorted(codes, h0_codes), np.searchsorted(codes, h2_codes))
+    return box, chi, anti_k, rows, *at
+
+
+@pytest.mark.parametrize("bound", range(7))
+def test_box_matches_a_plain_int64_reference(bound):
+    data = _box(bound)
+    # box, chi and D.(-K) fit int8 up to bound 6 (|chi| <= 84, |D.(-K)| <= 42);
+    # the maps take the narrowest signed dtype that holds the row count
+    at_dtype = next(
+        np.dtype(d) for d in (np.int8, np.int16, np.int32) if np.iinfo(d).max >= data.rows.shape[0]
+    )
+    dtypes = [np.int8, np.int8, np.int8, np.float64, at_dtype, at_dtype]
+    for name, got, want, dtype in zip(data._fields, data, _box_reference(bound), dtypes):
+        assert got.dtype == dtype, (bound, name)
+        assert got.shape == want.shape and (got == want).all(), (bound, name)
+        assert not got.flags.writeable, (bound, name)
+
+
+def test_narrow_dtypes_switch_at_the_int8_boundary():
+    assert _int_dtype(-128, 127) == np.int8
+    assert _int_dtype(0, 128) == _int_dtype(-129, 0) == np.int16
+    assert _int_dtype(-(2**15), 2**15 - 1) == np.int16
+    assert _int_dtype(0, 2**15) == np.int32
+    assert _int_dtype(0, 2**31) == np.int64
+    with pytest.raises(OverflowError):
+        _int_dtype(0, 2**63)
+    # a grid sum reaching 127 or -128 stays int8, one reaching 128 or -129
+    # widens, and so does one whose partial sums leave int8 though every
+    # total is 0
+    terms = np.zeros((5, 2), dtype=np.int64)
+    terms[:, 1] = [25, 25, 25, 25, 27]
+    assert _on_grid(terms).dtype == np.int8 and _on_grid(terms).max() == 127
+    terms[4, 1] = 28
+    assert _on_grid(terms).dtype == np.int16 and _on_grid(terms).max() == 128
+    assert _on_grid(-terms).dtype == np.int8 and _on_grid(-terms).min() == -128
+    terms[4, 1] = 29
+    assert _on_grid(-terms).dtype == np.int16 and _on_grid(-terms).min() == -129
+    terms[:] = [[100], [100], [-100], [-100], [0]]
+    assert _on_grid(terms).dtype == np.int16 and not _on_grid(terms).any()
+
+
+def test_sweep_memory_stays_within_a_budget_of_the_kernel_rows():
+    # the float64 rows are the one array the exactness proof needs; the
+    # rest of the box is narrow, and a sweep holds one sorted copy of its
+    # open rows (the parent layout held 3.3x and peaked at 3.2x)
+    data = _box(4)
+    rows_bytes = data.rows.nbytes
+    assert sum(a.nbytes for a in data) <= 1.5 * rows_bytes
+    t = surface_type("V.2")
+    sweep_box(t, bound=4)  # fills the support table outside the trace
+    tracemalloc.start()
+    try:
+        info = sweep_box(t, bound=4, return_arrays=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info["classes"] == 9**5
+    assert peak <= 2 * rows_bytes, peak / rows_bytes
+
+
+def test_sweep_box_names_a_negative_h1_class_in_plain_ints(monkeypatch):
+    # with h^0 = h^2 = 0 everywhere, h^1 = -chi; the first class of the
+    # bound-1 box with chi > 0 is (0, -1, -1, -1, -1)
+    monkeypatch.setattr(
+        cohomology, "_h0_rows", lambda rows, kern: np.zeros(rows.shape[0], dtype=np.int64)
+    )
+    with pytest.raises(
+        CohomologyConsistencyError, match=r"^negative h\^1 at \(0, -1, -1, -1, -1\) on I\.1$"
+    ):
+        sweep_box(surface_type("I.1"), bound=1)
 
 
 @given(x=st.integers(-(2**53 - 1), 2**53 - 1), det=st.integers(1, 16))
