@@ -802,12 +802,13 @@ def sweep_box(t: SurfaceType, bound: int = 4, return_arrays: bool = False) -> di
     box, chi, anti_k, rows, h0_at, h2_at = _box(bound)
     n = box.shape[0]
     h0 = _h0_rows(rows, _kernel(t))
-    h0_d = np.zeros(n, dtype=np.int64)
-    h2_d = np.zeros(n, dtype=np.int64)
+    # one block for the three answers: fewer, larger allocations also keep
+    # glibc from returning and re-faulting the pages on every sweep
+    h0_d, h1_d, h2_d = np.zeros((3, n), dtype=np.int64)
     h0_d[anti_k >= 0] = h0[h0_at]
     h2_d[anti_k <= -5] = h0[h2_at]
     del h0
-    h1_d = h0_d + h2_d
+    np.add(h0_d, h2_d, out=h1_d)
     h1_d -= chi
     if h1_d.min() < 0:
         bad = box[np.argmax(h1_d < 0)]
