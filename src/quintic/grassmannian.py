@@ -253,14 +253,7 @@ def rperp(k: int = 0) -> HomBundle:
 
 
 def twist(x: HomBundle, k: int) -> HomBundle:
-    return HomBundle.from_counter(
-        Counter(
-            {
-                _normalize_block((g[0] + k, g[1] + k), b): m
-                for (g, b), m in x.summands
-            }
-        )
-    )
+    return tensor_decompose(x, o(k))
 
 
 def dual(x: HomBundle) -> HomBundle:

@@ -274,21 +274,74 @@ def test_r1_vanishing_examples():
     assert res.failing_step is not None
 
 
-def test_r1_vanishing_exhaustive_hypothesis_sweep():
-    for n in (1, 2, 3, 4):
-        for degrees in itertools.product(range(-1, 4), repeat=n):
-            satisfies = [
-                l
-                for l in range(1, n + 1)
-                if degrees[l - 1] >= -1
-                and all(degrees[i] >= 0 for i in range(n) if i != l - 1)
-            ]
-            for l in satisfies:
-                assert r1_chain_vanishing(ChainProblem(degrees, l)).certified, (
-                    n,
-                    degrees,
-                    l,
+def _r1_chain_simulation(p: ChainProblem) -> ChainCertificate:
+    """The formal-neighbourhood induction run level by level, for levels
+    1 .. n+2: the oracle that r1_chain_vanishing's docstring proves equal
+    to its level-1 criterion."""
+    n, l = len(p.degrees), p.l
+    schedule = list(range(l, n + 1)) + list(range(l - 1, 0, -1))
+    w = [0] * (n + 2)  # 1-based multiplicities with zero padding
+    previous: dict[int, int] = {}
+    for level in range(1, n + 3):
+        for j in schedule:
+            against = w[j - 1] + w[j + 1] - 2 * w[j]
+            deg = p.degrees[j - 1] - against
+            if deg < -1:
+                return ChainCertificate(False, (level, j, deg))
+            if level > 1 and deg < previous[j]:
+                raise CohomologyConsistencyError(
+                    f"step degree decreased at level {level}, curve {j}"
                 )
+            previous[j] = deg
+            w[j] += 1
+    return ChainCertificate(True)
+
+
+def test_r1_chain_vanishing_matches_the_level_simulation():
+    problems = [
+        ChainProblem(degrees, l)
+        for n in (1, 2, 3, 4)
+        for degrees in itertools.product(range(-5, 6), repeat=n)
+        for l in range(1, n + 1)
+    ]
+    assert len(problems) == 62_810
+    for p in problems:
+        assert r1_chain_vanishing(p) == _r1_chain_simulation(p), p
+
+
+@pytest.mark.parametrize(
+    "check, fault",
+    [
+        # a certificate that also demands d_l >= 0 refuses the d_l = -1 rows
+        (
+            "chain vanishing certificate (exhaustive)",
+            lambda real, p: ChainCertificate(False, (1, p.l, p.degrees[p.l - 1]))
+            if p.degrees[p.l - 1] < 0
+            else real(p),
+        ),
+        # a certificate that reads d_l = -2 as -1 accepts (-2,)
+        (
+            "chain vanishing counterexamples",
+            lambda real, p: real(
+                ChainProblem(
+                    tuple(-1 if i == p.l - 1 and d == -2 else d for i, d in enumerate(p.degrees)),
+                    p.l,
+                )
+            ),
+        ),
+    ],
+    ids=["exhaustive", "counterexamples"],
+)
+def test_chain_vanishing_fault_flips_its_report_check(monkeypatch, check, fault):
+    import quintic.suites
+    from quintic.suites import suite_cohomology
+
+    base = suite_cohomology(0)
+    assert base[check] is True
+    real = quintic.suites.r1_chain_vanishing
+    monkeypatch.setattr(quintic.suites, "r1_chain_vanishing", lambda p: fault(real, p))
+    details = suite_cohomology(0)
+    assert {k for k in base if details[k] != base[k]} == {check}
 
 
 def test_sweep_box_small_bound_consistency():
