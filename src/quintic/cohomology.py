@@ -158,15 +158,14 @@ box, and over each partial sum, are sums of per-coefficient extremes, and
 _on_grid adds the terms one axis at a time, by broadcasting into an array
 of that dtype, with no n x 5 temporary.  Up to bound 6 all three are int8.
 Arithmetic that can leave that range runs wider: the grid codes of D and
-K - D in the dtype of their own range (int32 at bound 5), the Serre mirror
-K - D in intp one column at a time, and h^1 = h^0 + h^2 - chi in int64,
-the dtype of the returned h0, h1 and h2.  h0_at and h2_at take the
-narrowest dtype that holds the row count.  _h0_rows gathers the open rows
-of a round, sorted by support mask, with one index, and _step_round steps
-them in place; a growth step gathers only the groups whose support grew,
-and chi is summed a column at a time.  Under tracemalloc, at bound 5, _box
-holds 5.8 MiB, 4.1 MiB of it the float64 rows, and twelve sweeps peak at
-14.4 MiB.
+K - D in the dtype of their own range (int32 at bound 5), and
+h^1 = h^0 + h^2 - chi in int64, the dtype of the returned h0, h1 and h2.
+h0_at and h2_at take the narrowest dtype that holds the row count.
+_h0_rows gathers the open rows of a round, sorted by support mask, with
+one index, and _step_round steps them in place; a growth step gathers
+only the groups whose support grew, and chi is summed a column at a time.
+Under tracemalloc, at bound 5, _box holds 5.8 MiB, 4.1 MiB of it the
+float64 rows, and twelve sweeps peak at 14.4 MiB.
 """
 
 from __future__ import annotations
@@ -692,12 +691,12 @@ def _step_round(
 
 
 def _int_dtype(lo: int, hi: int) -> np.dtype:
-    """The narrowest signed integer dtype that holds every integer of [lo, hi]."""
-    for dtype in map(np.dtype, (np.int8, np.int16, np.int32, np.int64)):
-        info = np.iinfo(dtype)
-        if info.min <= lo and hi <= info.max:
-            return dtype
-    raise OverflowError(f"no signed integer dtype holds [{lo}, {hi}]")
+    """The narrowest signed integer dtype that holds every integer of [lo, hi]:
+    a signed dtype holds hi exactly when it holds -hi - 1."""
+    dtype = np.min_scalar_type(min(lo, -hi - 1))
+    if dtype.kind != "i":
+        raise OverflowError(f"no signed integer dtype holds [{lo}, {hi}]")
+    return dtype
 
 
 def _on_grid(terms: np.ndarray) -> np.ndarray:
@@ -772,22 +771,6 @@ def _box(bound: int) -> _BoxData:
     for a in data:
         a.setflags(write=False)
     return data
-
-
-@lru_cache(maxsize=1)
-def _serre_mirror(bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the rows D of _box(bound).box whose Serre mirror K - D lies
-    in the box, and the row of that mirror; one column at a time, in intp,
-    wider than the box."""
-    box = _box(bound).box
-    inside = np.ones(box.shape[0], dtype=bool)
-    index = np.zeros(box.shape[0], dtype=np.intp)
-    for j, k in enumerate(K.coeffs):
-        mirror = k - box[:, j].astype(np.intp)
-        inside &= np.abs(mirror) <= bound
-        index *= 2 * bound + 1
-        index += mirror + bound
-    return inside, index[inside]
 
 
 def sweep_box(t: SurfaceType, bound: int = 4, return_arrays: bool = False) -> dict:

@@ -221,17 +221,13 @@ class HomBundle:
         return HomBundle.from_counter(c)
 
     def __sub__(self, other: "HomBundle") -> "HomBundle":
-        c = self.counts()
-        c.subtract(other.counts())
-        return HomBundle.from_counter(c)
+        return self + -other
 
     def __neg__(self) -> "HomBundle":
-        return HomBundle(tuple((blk, -m) for blk, m in self.summands))
+        return -1 * self
 
     def __mul__(self, k: int) -> "HomBundle":
-        if k == 0:
-            return HomBundle(())
-        return HomBundle(tuple((blk, k * m) for blk, m in self.summands))
+        return HomBundle.from_counter(Counter({blk: k * m for blk, m in self.summands}))
 
     __rmul__ = __mul__
 
@@ -312,36 +308,27 @@ class ChiOnly:
 
 @lru_cache(maxsize=None)
 def rhom(a: HomBundle, b: HomBundle) -> CohProfile | ChiOnly:
-    """RHom(a, b) = cohomology of dual(a) (x) b.
+    """RHom(a, b) = cohomology of dual(a) (x) b, tallied per Bott degree.
 
     For effective inputs the block decomposition is an actual direct sum,
     so per-degree dimensions are exact.  A virtual class (some negative
     multiplicity) is trusted only when every contribution lands in one
-    common degree: the Euler characteristic then pins the dimension there,
-    which matches the sheaf-level answer whenever the defining presentation
-    has cohomology concentrated in that degree.  Anything else degrades to
-    the Euler characteristic.
+    common degree with a total that is not negative: the Euler
+    characteristic then pins the dimension there, which matches the
+    sheaf-level answer whenever the defining presentation has cohomology
+    concentrated in that degree.  Anything else degrades to the Euler
+    characteristic.
     """
     product = tensor_decompose(dual(a), b)
-    contributions = []
+    tally: Counter = Counter()
     for (gamma, beta), mult in product.summands:
         res = bott(gamma + beta, 5)
         if res is not None:
-            contributions.append((res.degree, mult * res.dim))
-    if not contributions:
-        return CohProfile(())
-    if product.is_effective():
-        acc: Counter = Counter()
-        for deg, val in contributions:
-            acc[deg] += val
-        return CohProfile.of(acc)
-    degrees = {deg for deg, _ in contributions}
-    if len(degrees) == 1:
-        total = sum(val for _, val in contributions)
-        if total >= 0:
-            (deg,) = degrees
-            return CohProfile.of({deg: total})
-    return ChiOnly(sum((-1) ** deg * val for deg, val in contributions))
+            tally[res.degree] += mult * res.dim
+    # a degree whose contributions cancel stays in the tally and still counts
+    if product.is_effective() or (len(tally) <= 1 and min(tally.values(), default=0) >= 0):
+        return CohProfile.of(tally)
+    return ChiOnly(sum((-1) ** deg * val for deg, val in tally.items()))
 
 
 def rhom_chi(a: HomBundle, b: HomBundle) -> int:

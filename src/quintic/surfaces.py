@@ -78,7 +78,11 @@ def ade_type(curves: Iterable[DivClass]) -> tuple[int, ...]:
     """Chain lengths of the intersection graph, sorted increasingly.
 
     Raises ChainStructureError unless every connected component of the
-    graph with an edge for each pair meeting once is a simple path.
+    graph with an edge for each pair meeting once is a simple path.  No
+    root meets three others when all pairs meet in 0 or 1 (A4 holds no D4;
+    tests/test_surfaces.py checks every four roots), so each curve has at
+    most two neighbours: walking from each curve with fewer than two
+    traverses every path, and a curve that no walk reaches lies on a cycle.
     """
     curves = sorted(set(curves), key=lambda d: d.coeffs)
     for c in curves:
@@ -95,31 +99,20 @@ def ade_type(curves: Iterable[DivClass]) -> tuple[int, ...]:
             if m == 1:
                 adj[i].append(j)
                 adj[j].append(i)
-    for i, nbrs in enumerate(adj):
-        if len(nbrs) >= 3:
-            raise ChainStructureError(
-                f"not simply-laced-chain: {curves[i].to_json()} meets {len(nbrs)} curves"
-            )
     lengths = []
     seen = [False] * n
-    for start in range(n):
-        if seen[start]:
+    for end in range(n):
+        if seen[end] or len(adj[end]) > 1:
             continue
-        component = [start]
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    component.append(w)
-                    frontier.append(w)
-        edges = sum(len(adj[v]) for v in component) // 2
-        if edges != len(component) - 1:
-            cycle = [curves[v].to_json() for v in sorted(component)]
-            raise ChainStructureError(f"not simply-laced-chain: {cycle} is a cycle")
-        lengths.append(len(component))
+        length, v = 0, end
+        while v is not None:
+            seen[v] = True
+            length += 1
+            v = next((w for w in adj[v] if not seen[w]), None)
+        lengths.append(length)
+    if not all(seen):
+        cycle = [curves[v].to_json() for v in range(n) if not seen[v]]
+        raise ChainStructureError(f"not simply-laced-chain: {cycle} is a cycle")
     return tuple(sorted(lengths))
 
 

@@ -389,13 +389,26 @@ def test_suite_sweep_consistency_check_is_real():
     assert not _sweep_consistent(info, t, seed)
     assert _sweep_consistent(info, t, seed + 1)
     # each class is one kernel row, so h^2(D) and h^0(K - D) read the same
-    # row; the Serre conjunct checks _box's map to that row against
-    # _serre_mirror.  A map shifted by one row flips it on every type
+    # row; the Serre conjunct checks _box's map to that row against the flip
+    # of the box's corner that holds the mirrors.  A map shifted by one row
+    # flips it on every type
     data = _box(4)
     shifted = data._replace(h2_at=np.roll(data.h2_at, -1))
     with mock.patch.object(cohomology, "_box", lambda bound: shifted):
         details = suite_cohomology(seed)
     assert not any(details[f"{u.label}: |coeff|<=4 sweep consistent"] for u in catalog())
+
+
+def test_sweep_consistency_needs_mirrors_inside_the_box():
+    # K = (-3, -1, -1, -1, -1): at bounds 0 and 1 no mirror K - D of a
+    # class of the box lies in the box, so the Serre conjunct compares
+    # nothing and the check fails; from bound 2 on it holds
+    from quintic.suites import _sweep_consistent
+
+    t = surface_type("IV.2")
+    for bound in range(5):
+        info = sweep_box(t, bound=bound, return_arrays=True)
+        assert _sweep_consistent(info, t, 3) == (bound >= 2), bound
 
 
 def _fraction_solve_support(gram, idx):

@@ -350,6 +350,17 @@ def test_rhom_virtual_mixed_degrees_degrades_to_chi():
     assert result.chi == 1 - 1
 
 
+def test_rhom_virtual_in_one_degree_with_a_negative_total_degrades_to_chi():
+    # -[O] lands in degree 0 alone, but no dimension there can be -1
+    assert rhom(o(0), -1 * o(0)) == ChiOnly(-1)
+
+
+def test_rhom_degree_whose_contributions_cancel_still_counts():
+    # 2 R* and O(1) both land in degree 0 with dimension 10 and cancel;
+    # with O(-5) in degree 6 the virtual class still spans two degrees
+    assert rhom(o(0), 2 * rstar(0) - o(1) + o(-5)) == ChiOnly(1)
+
+
 def _rhom_pool():
     """The 25 bundles O, R*, Sym^2 R*, Sym^3 R*, Rperp at twists -2..2, and
     the five virtual kernels of verify_appendix_identities."""

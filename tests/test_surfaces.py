@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -93,6 +94,29 @@ def test_ade_type_rejects_cycle():
     # e2-e3, e3-e4 and e4-e2 form a triangle
     with pytest.raises(ChainStructureError):
         ade_type({delta(2, 3), delta(3, 4), E[4] - E[2]})
+
+
+def test_ade_type_rejects_a_cycle_next_to_a_path_and_names_only_the_cycle():
+    # h-e2-e3-e4 meets none of the triangle's curves, so it is a path of one
+    triangle = {delta(2, 3), delta(3, 4), E[4] - E[2]}
+    with pytest.raises(ChainStructureError) as err:
+        ade_type(triangle | {delta(2, 3, 4)})
+    assert str(err.value).endswith(f"{sorted(c.to_json() for c in triangle)} is a cycle")
+
+
+def test_no_root_meets_three_others_when_all_pairs_meet_at_most_once():
+    # ade_type walks each chain from an end, which needs every curve to have
+    # at most two neighbours; a root meeting three or more others contains
+    # one of these four-root subsets with a root meeting the other three
+    roots = sorted(enumerate_roots(), key=lambda d: d.coeffs)
+    admissible = [
+        quad
+        for quad in itertools.combinations(roots, 4)
+        if all(a.dot(b) in (0, 1) for a, b in itertools.combinations(quad, 2))
+    ]
+    assert len(admissible) == 190
+    for quad in admissible:
+        assert all(sum(r.dot(s) for s in quad if s != r) < 3 for r in quad), quad
 
 
 def test_z_scheme_lengths():
