@@ -110,7 +110,8 @@ def _sweep_consistent(info: dict, t, seed: int) -> bool:
     rows check the batch rounds themselves.  Riemann-Roch and h^1 >= 0 need
     no check: sweep_box defines h^1 as h^0 + h^2 - chi and raises on a
     negative one."""
-    arr, b = info["arrays"], info["bound"]
+    arr = info["arrays"]
+    b = info["bound"]
     corner = tuple(slice(0, max(0, 2 * b + k + 1)) for k in K.coeffs)
     h0, h2 = (arr[h].reshape((2 * b + 1,) * 5)[corner] for h in ("h0", "h2"))
     rng = random.Random(seed)

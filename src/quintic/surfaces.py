@@ -104,7 +104,8 @@ def ade_type(curves: Iterable[DivClass]) -> tuple[int, ...]:
     for end in range(n):
         if seen[end] or len(adj[end]) > 1:
             continue
-        length, v = 0, end
+        length = 0
+        v = end
         while v is not None:
             seen[v] = True
             length += 1
