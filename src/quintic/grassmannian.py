@@ -94,8 +94,9 @@ class BottResult(NamedTuple):
     dim: int
 
 
-@lru_cache(maxsize=None)
-def bott(alpha: tuple[int, ...], n: int) -> BottResult | None:
+# maxsize=0 stores nothing but keeps the __wrapped__ and cache_info() that perfbench reads
+@lru_cache(maxsize=0)
+def bott(alpha: Sequence[int], n: int) -> BottResult | None:
     """Cohomology of the weight alpha on the flag quotient with n = dim V.
 
     Returns None when all cohomology vanishes (alpha + rho has a repeat),

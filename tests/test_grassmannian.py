@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -170,9 +171,35 @@ def test_bott_matches_the_reference_on_every_small_weight():
     for n in range(2, 6):
         for alpha in itertools.product(range(-3, 4), repeat=n):
             assert bott(alpha, n) == _bott_reference(alpha, ssyt_cells=15), alpha
-    # the benchmark reads the unbounded cache and the uncached function
-    assert callable(bott.__wrapped__)
-    assert bott.cache_info().maxsize is None and bott.cache_info().currsize > 0
+
+
+def test_bott_keeps_no_per_weight_state():
+    # point-query streams rarely repeat a weight, so bott must not keep one
+    # result per weight; lengths and entries of the CLI and the benchmark
+    rng = random.Random(19)
+    weights = {
+        tuple(rng.randint(-20, 20) for _ in range(rng.randint(2, 8)))
+        for _ in range(20_000)
+    }
+    # CPython keeps up to 2,000 freed tuples of each small length for reuse,
+    # which tracemalloc would count as kept if they were freed while tracing
+    spare = [tuple(range(i, i + n)) for n in range(1, 10) for i in range(4000)]
+    del spare
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for alpha in weights:
+            bott(alpha, len(alpha))
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert growth < 64 * 1024, f"{growth} bytes kept over {len(weights)} weights"
+
+
+def test_bott_takes_a_list_or_a_tuple():
+    for alpha in ([1, 0, 0, 0, 0], [-5, -5, 0, 0, 0], [0, 1, 0], [3, -2]):
+        assert bott(alpha, len(alpha)) == bott(tuple(alpha), len(alpha))
+    assert bott([1, 0, 0, 0, 0], 5) == BottResult(0, (1, 0, 0, 0, 0), 5)
 
 
 @settings(deadline=None)

@@ -50,6 +50,10 @@ def test_benchmark_trace_targets_resolve():
     for module_name, attr in spans.CACHES.values():
         target = getattr(importlib.import_module(module_name), attr)
         assert callable(getattr(target, "cache_info", None)), f"{module_name}.{attr}"
+    # perfbench/child.py checks each bott answer against the uncached function
+    from quintic.grassmannian import bott
+
+    assert callable(bott.__wrapped__)
 
 
 def test_benchmark_suite_names():
