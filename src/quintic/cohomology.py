@@ -112,11 +112,13 @@ D.(-K) >= 0 and the K - D with D.(-K) <= -5, solving each such class once,
 though a class can be needed both as D and as K - D (0.690 and 0.672 of
 the box size at bounds 4 and 5, against twice the box size).
 
-Float64 carrier.  The batch form keeps its rows in float64 and runs every
-product there, used only to carry integers: a sum of integer products is
-computed exactly, in whatever order BLAS adds, when the absolute values of
-its terms add up to less than 2^53.  Let X bound the absolute coefficients
-of the open rows at the start of a round; each round checks
+Float64 carrier.  The batch form runs every product in float64, used only
+to carry integers, and keeps in float64 only the rows that a round steps;
+its input rows and its other arrays are integers, and promoting an integer
+below 2^53 to float64 is exact.  A sum of integer products is computed
+exactly, in whatever order BLAS adds, when the absolute values of its
+terms add up to less than 2^53.  Let X bound the absolute coefficients of
+the open rows at the start of a round; each round checks
 X <= FLOAT_EXACT_LIMIT = 2^25 and raises FloatRangeError otherwise.  Let m
 be the number of curves, r the number of (-2)-curves, k the number of nef
 rays, c the largest absolute curve coefficient and g the largest |C.C'|.
@@ -146,26 +148,34 @@ x/det is an integer below 2^53 and q equals it.  Otherwise x/det = n + f
 with n = floor(x/det) and 1/det <= f <= 1 - 1/det; for |x| < 2^53 the error
 is below 1/det, so n < q < n + 1 and floor(q) = n.
 
-Memory.  Of the sweep's arrays only the kernel rows need float64; the rest
-are kept narrow, and the kernel keeps one copy of its open rows.  _box
-holds the box, D.(-K) and chi in the narrowest signed dtype that holds
-their values on the box, chosen from the bound, so that no bound wraps
-(under NEP 50, int8 + 3 stays int8 and wraps silently).  Each of the three
-is a sum of one term per coefficient: d_j itself, the weight of d_j in
-D.(-K), and half of sign_j d_j (d_j - k_j) for chi, which is an integer
-because every k_j is odd.  So the least and the greatest value over the
-box, and over each partial sum, are sums of per-coefficient extremes, and
-_on_grid adds the terms one axis at a time, by broadcasting into an array
-of that dtype, with no n x 5 temporary.  Up to bound 6 all three are int8.
-Arithmetic that can leave that range runs wider: the grid codes of D and
-K - D in the dtype of their own range (int32 at bound 5), and
-h^1 = h^0 + h^2 - chi in int64, the dtype of the returned h0, h1 and h2.
-h0_at and h2_at take the narrowest dtype that holds the row count.
-_h0_rows gathers the open rows of a round, sorted by support mask, with
-one index, and _step_round steps them in place; a growth step gathers
-only the groups whose support grew, and chi is summed a column at a time.
-Under tracemalloc, at bound 5, _box holds 5.8 MiB, 4.1 MiB of it the
-float64 rows, and twelve sweeps peak at 14.4 MiB.
+Memory.  Of the sweep's arrays only the rows that a round steps and the
+products need float64; the rest are kept narrow, and the kernel keeps one
+copy of its open rows.  _box holds the box, D.(-K), chi and the kernel
+rows in the narrowest signed dtype that holds their values on the box,
+chosen from the bound, so that no bound wraps (under NEP 50, int8 + 3
+stays int8 and wraps silently).  The kernel rows are points of the grid
+that holds both the box and K - box, which runs from its corner to bound
+on every axis.  Each of the other three is a sum of one term per
+coefficient: d_j itself, the weight of d_j in D.(-K), and half of
+sign_j d_j (d_j - k_j) for chi, which is an integer because every k_j is
+odd.  So the least and the greatest value over the box, and over each
+partial sum, are sums of per-coefficient extremes, and _on_grid adds the
+terms one axis at a time, by broadcasting into an array of that dtype,
+with no n x 5 temporary.  Up to bound 6 all four are int8.  Arithmetic
+that can leave that range runs wider: the grid codes of D and K - D in the
+dtype of their own range (int32 at bound 5), chi of a row in int64 (int8
+squares wrap), and h^0 in int64.  h0_at, h2_at and the kernel's row index
+take the narrowest dtype that holds the row count, and the returned h0, h1
+and h2 the narrowest that holds h^1 = h^0 + h^2 - chi, which lies between
+-max chi and 2 max h^0 - min chi.  Round 1 promotes the narrow rows to
+float64 one _CHUNK slice at a time for its products.  _h0_rows gathers the
+open rows of a round, sorted by support mask, into float64 with one index,
+and _step_round steps them in place a chunk at a time; where some rows of
+a chunk grow their support, the others step and the grown rows step by
+zero.  Under tracemalloc, at bound 5, _box holds 2.1 MiB (13.9 bytes per
+class of the box, 37.4 with float64 kernel rows), a warm sweep on V.2
+peaks 6.3 MiB (41 bytes per class) above it, and twelve sweeps peak
+at 8.5 MiB with _box.
 """
 
 from __future__ import annotations
@@ -567,20 +577,19 @@ def r1_chain_vanishing(p: ChainProblem) -> ChainCertificate:
 
 # ---------------------------------------------------------------------------
 # Vectorized exhaustive sweep over a coefficient box, used by the
-# acceptance battery: the Zariski rounds of _h0 run on float64 rows of
-# integers over the same support table; the caller can cross-check random
-# rows against the scalar path.
-
+# acceptance battery: the Zariski rounds of _h0 run on rows of integers,
+# carried in float64, over the same support table; the caller can
+# cross-check random rows against the scalar path.
 
 
 def _chi_rows(rows: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """chi = (D^2 - D.K)/2 + 1 of the rows at of a float64 array of
-    integers, summed a column at a time."""
-    num = np.zeros(at.size)
+    """chi = (D^2 - D.K)/2 + 1 of the rows at of an array of integers,
+    narrow or float64, summed a column at a time; each column is widened to
+    int64 before it is multiplied, since int8 squares wrap."""
+    num = np.zeros(at.size, dtype=np.int64)
     for j, (sign, k) in enumerate(zip(_SIGNS.tolist(), K.coeffs)):
-        col = rows[at, j]
+        col = rows[at, j].astype(np.int64)
         num += sign * col * (col - k)
-    num = num.astype(np.int64)
     odd = (num & 1).astype(bool)
     if odd.any():
         bad = tuple(int(x) for x in rows[at[odd][0]])
@@ -589,8 +598,9 @@ def _chi_rows(rows: np.ndarray, at: np.ndarray) -> np.ndarray:
 
 
 def _check_float_range(rows: np.ndarray, kern: _Kernel) -> None:
-    if rows.size and max(rows.max(), -rows.min()) > FLOAT_EXACT_LIMIT:
-        bad = rows[(np.abs(rows) > FLOAT_EXACT_LIMIT).any(axis=1)][0]
+    # compared with both limits, not negated: -(-128) wraps in int8
+    if rows.size and (rows.max() > FLOAT_EXACT_LIMIT or rows.min() < -FLOAT_EXACT_LIMIT):
+        bad = rows[((rows > FLOAT_EXACT_LIMIT) | (rows < -FLOAT_EXACT_LIMIT)).any(axis=1)][0]
         raise FloatRangeError(
             f"row {tuple(int(x) for x in bad)} on {kern.label} has a coefficient "
             f"beyond the float64-exact limit FLOAT_EXACT_LIMIT = {FLOAT_EXACT_LIMIT}"
@@ -604,26 +614,28 @@ def _round_codes(rows: np.ndarray, kern: _Kernel) -> np.ndarray:
     """Bit i of a row's code is set iff D.C_i < 0 for curve i, and the code
     is at least 2^m iff step 1 of a round ends the row (kern.bits).
 
-    Built _CHUNK rows at a time, so that the float64 temporaries stay small.
+    Built _CHUNK rows at a time, each promoted to float64 for its product,
+    so that the float64 temporaries stay small.
     """
     codes = np.empty(rows.shape[0], dtype=kern.code_dtype)
     for lo in range(0, rows.shape[0], _CHUNK):
-        codes[lo : lo + _CHUNK] = (rows[lo : lo + _CHUNK] @ kern.test_cols < 0) @ kern.bits
+        chunk = rows[lo : lo + _CHUNK].astype(np.float64, copy=False)
+        codes[lo : lo + _CHUNK] = (chunk @ kern.test_cols < 0) @ kern.bits
     return codes
 
 
 def _h0_rows(rows: np.ndarray, kern: _Kernel) -> np.ndarray:
-    """h^0 of every row of a float64 array of integer coefficients, by the
-    rounds of _h0; rows is not modified.
+    """h^0 of every row of an array of integer coefficients, narrow or
+    float64, by the rounds of _h0; rows is not modified.
 
     A row leaves when a round ends it; only the rows that end at a nef
     class are written, every other ending has h^0 = 0.  Each round gathers
-    its open rows, sorted by support mask, into one new array, and
+    its open rows, sorted by support mask, into one new float64 array, and
     _step_round steps them there in place.
     """
     m = len(kern.curves)
     h0 = np.zeros(rows.shape[0], dtype=np.int64)
-    cur, idx = rows, np.arange(rows.shape[0])
+    cur, idx = rows, np.arange(rows.shape[0], dtype=_int_dtype(0, rows.shape[0]))
     while idx.size:
         _check_float_range(cur, kern)
         masks = _round_codes(cur, kern)
@@ -631,7 +643,7 @@ def _h0_rows(rows: np.ndarray, kern: _Kernel) -> np.ndarray:
         h0[idx[nef]] = np.maximum(_chi_rows(cur, nef), 0)
         order = np.flatnonzero((masks != 0) & (masks < 1 << m))
         order = order[np.argsort(masks[order], kind="stable")]
-        cur, idx, masks = cur[order], idx[order], masks[order]
+        cur, idx, masks = cur[order].astype(np.float64, copy=False), idx[order], masks[order]
         del nef, order  # else both live through the round
         _step_round(cur, masks, kern, rows, idx)
     return h0
@@ -647,9 +659,11 @@ def _step_round(
     todo holds the positions of the rows whose support is still growing,
     sorted by mask and, within a mask, by position, so that a group is a
     slice of cur when its positions are consecutive, as they all are on
-    the first pass.  A group on other positions is gathered; the rows whose
-    support grows join todo and wait for the next pass, and the others are
-    stepped.
+    the first pass.  A group is taken _CHUNK rows at a time, so that no
+    temporary outgrows a chunk, and a chunk on other positions is
+    gathered.  The rows whose support grows join todo and wait for the
+    next pass; the others are stepped, and the grown rows with them, by a
+    delta of zero.
     """
     m = len(kern.curves)
     todo = np.arange(cur.shape[0])
@@ -657,34 +671,35 @@ def _step_round(
     while todo.size:
         starts = np.flatnonzero(np.r_[True, todo_masks[1:] != todo_masks[:-1]])
         grew = np.zeros(todo.size, dtype=bool)
-        for lo, hi in zip(starts, np.r_[starts[1:], todo.size]):
-            mask = int(todo_masks[lo])
+        for start, end in zip(starts, np.r_[starts[1:], todo.size]):
+            mask = int(todo_masks[start])
             sup = kern.support(mask)
             s = len(sup.idx)
             solve, step = sup.batch
-            at = todo[lo:hi]
-            in_place = at[-1] - at[0] == at.size - 1
-            block = cur[at[0] : at[-1] + 1] if in_place else cur[at]
-            prod = block @ solve
-            grown = mask | ((prod[:, s:] < 0) @ kern.bits[:m]).astype(masks.dtype)
-            stay = grown == mask
-            if not stay.all():
-                masks[at], grew[lo:hi] = grown, ~stay
-                if not stay.any():
-                    continue
-                block, at, prod, in_place = block[stay], at[stay], prod[stay], False
-            # -ceil(N), exactly (module docstring, float64 carrier)
-            delta = np.floor(prod[:, :s] / sup.det) @ step
-            stuck = delta[:, 5] >= 0
-            if stuck.any():
-                raise ReductionDivergenceError(
-                    "Zariski round did not lower A.D at "
-                    f"{tuple(int(c) for c in rows[idx[at[stuck][0]]])} on {kern.label}"
-                )
-            if in_place:
-                block += delta[:, :5]
-            else:
-                cur[at] = block + delta[:, :5]
+            for lo in range(start, end, _CHUNK):
+                at = todo[lo : min(lo + _CHUNK, end)]
+                in_place = at[-1] - at[0] == at.size - 1
+                block = cur[at[0] : at[-1] + 1] if in_place else cur[at]
+                prod = block @ solve
+                grown = mask | ((prod[:, s:] < 0) @ kern.bits[:m]).astype(masks.dtype)
+                stay = grown == mask
+                if not stay.all():
+                    masks[at], grew[lo : lo + at.size] = grown, ~stay
+                    if not stay.any():
+                        continue
+                # -ceil(N), exactly (module docstring, float64 carrier)
+                delta = np.floor(prod[:, :s] / sup.det) @ step
+                delta[~stay] = 0
+                stuck = (delta[:, 5] >= 0) & stay
+                if stuck.any():
+                    raise ReductionDivergenceError(
+                        "Zariski round did not lower A.D at "
+                        f"{tuple(int(c) for c in rows[idx[at[stuck][0]]])} on {kern.label}"
+                    )
+                if in_place:
+                    block += delta[:, :5]
+                else:
+                    cur[at] = block + delta[:, :5]
         todo = todo[grew]
         todo = todo[np.lexsort((todo, masks[todo]))]
         todo_masks = masks[todo]
@@ -722,7 +737,7 @@ class _BoxData(NamedTuple):
     box: np.ndarray  # the classes D, one per row, in the narrowest dtype holding +-bound
     chi: np.ndarray  # chi(D), in the narrowest dtype holding its range on the box
     anti_k: np.ndarray  # D.(-K), likewise
-    rows: np.ndarray  # the kernel's input: float64, each needed class once
+    rows: np.ndarray  # the kernel's input, each needed class once, in the narrowest dtype
     h0_at: np.ndarray  # the row of D, for each D with D.(-K) >= 0
     h2_at: np.ndarray  # the row of K - D, for each D with D.(-K) <= -5
 
@@ -761,7 +776,8 @@ def _box(bound: int) -> _BoxData:
     marked = np.zeros(sides, dtype=bool)
     flat = marked.reshape(-1)
     flat[h0_codes] = flat[h2_codes] = True
-    rows = np.empty((np.count_nonzero(flat), 5))
+    # every axis of that grid runs from its corner up to bound
+    rows = np.empty((np.count_nonzero(flat), 5), dtype=_int_dtype(int(corner.min()), bound))
     rank = np.cumsum(flat, dtype=_int_dtype(-1, rows.shape[0]))
     rank -= 1
     for j, side in enumerate(sides):
@@ -779,15 +795,19 @@ def sweep_box(t: SurfaceType, bound: int = 4, return_arrays: bool = False) -> di
 
     The box and chi in the returned arrays are shared with later sweeps at
     the same bound and are read-only, in the narrow dtypes of _box; h0, h1
-    and h2 are int64."""
+    and h2 take the narrowest signed dtype that holds their range."""
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
         raise ValueError(f"sweep bound must be an int >= 0, not {bound!r}")
     box, chi, anti_k, rows, h0_at, h2_at = _box(bound)
     n = box.shape[0]
     h0 = _h0_rows(rows, _kernel(t))
-    # one block for the three answers: fewer, larger allocations also keep
-    # glibc from returning and re-faulting the pages on every sweep
-    h0_d, h1_d, h2_d = np.zeros((3, n), dtype=np.int64)
+    # h^1 = h^0 + h^2 - chi lies in [-max chi, 2 max h^0 - min chi], and
+    # numpy setitem wraps silently, so the dtype comes from that range; one
+    # block for the three answers: fewer, larger allocations also keep glibc
+    # from returning and re-faulting the pages on every sweep
+    top = int(h0.max(initial=0))
+    dtype = _int_dtype(min(0, -int(chi.max())), 2 * top - min(0, int(chi.min())))
+    h0_d, h1_d, h2_d = np.zeros((3, n), dtype=dtype)
     h0_d[anti_k >= 0] = h0[h0_at]
     h2_d[anti_k <= -5] = h0[h2_at]
     del h0

@@ -18,6 +18,8 @@ from quintic.cohomology import (
     FloatRangeError,
     ReductionDivergenceError,
     _box,
+    _check_float_range,
+    _chi_rows,
     _h0,
     _h0_rows,
     _int_dtype,
@@ -738,12 +740,13 @@ def _box_reference(bound):
 @pytest.mark.parametrize("bound", range(7))
 def test_box_matches_a_plain_int64_reference(bound):
     data = _box(bound)
-    # box, chi and D.(-K) fit int8 up to bound 6 (|chi| <= 84, |D.(-K)| <= 42);
-    # the maps take the narrowest signed dtype that holds the row count
+    # box, chi, D.(-K) and the kernel rows fit int8 up to bound 6 (|chi| <= 84,
+    # |D.(-K)| <= 42, the rows span -bound - 3 to bound); the maps take the
+    # narrowest signed dtype that holds the row count
     at_dtype = next(
         np.dtype(d) for d in (np.int8, np.int16, np.int32) if np.iinfo(d).max >= data.rows.shape[0]
     )
-    dtypes = [np.int8, np.int8, np.int8, np.float64, at_dtype, at_dtype]
+    dtypes = [np.int8, np.int8, np.int8, np.int8, at_dtype, at_dtype]
     for name, got, want, dtype in zip(data._fields, data, _box_reference(bound), dtypes):
         assert got.dtype == dtype, (bound, name)
         assert got.shape == want.shape and (got == want).all(), (bound, name)
@@ -774,22 +777,24 @@ def test_narrow_dtypes_switch_at_the_int8_boundary():
 
 
 def test_sweep_memory_stays_within_a_budget_of_the_kernel_rows():
-    # the float64 rows are the one array the exactness proof needs; the
-    # rest of the box is narrow, and a sweep holds one sorted copy of its
-    # open rows (the parent layout held 3.3x and peaked at 3.2x)
-    data = _box(4)
-    rows_bytes = data.rows.nbytes
-    assert sum(a.nbytes for a in data) <= 1.5 * rows_bytes
+    # in bytes per class of the box: _box keeps every array narrow, the
+    # kernel rows too, and a sweep holds float64 only for the rows a round
+    # steps and for chunk-sized products (with float64 kernel rows, _box
+    # held 38.0 and 37.4 B at bounds 4 and 5, and a V.2 sweep at bound 5
+    # peaked at 48.7 B)
+    for bound in (4, 5):
+        data = _box(bound)
+        assert sum(a.nbytes for a in data) <= 16 * data.box.shape[0], bound
     t = surface_type("V.2")
-    sweep_box(t, bound=4)  # fills the support table outside the trace
+    sweep_box(t, bound=5)  # fills the support table outside the trace
     tracemalloc.start()
     try:
-        info = sweep_box(t, bound=4, return_arrays=True)
+        info = sweep_box(t, bound=5, return_arrays=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert info["classes"] == 9**5
-    assert peak <= 2 * rows_bytes, peak / rows_bytes
+    assert info["classes"] == 11**5
+    assert peak <= 44 * info["classes"], peak / info["classes"]
 
 
 def test_sweep_box_names_a_negative_h1_class_in_plain_ints(monkeypatch):
@@ -802,6 +807,65 @@ def test_sweep_box_names_a_negative_h1_class_in_plain_ints(monkeypatch):
         CohomologyConsistencyError, match=r"^negative h\^1 at \(0, -1, -1, -1, -1\) on I\.1$"
     ):
         sweep_box(surface_type("I.1"), bound=1)
+
+
+def test_chi_rows_widen_narrow_columns_before_they_multiply():
+    # int8 squares wrap under NEP 50: 127 * 127 reads 1
+    rows = np.array(list(itertools.product((-128, -127, 127), repeat=5)), dtype=np.int8)
+    got = _chi_rows(rows, np.arange(rows.shape[0])).tolist()
+    assert got == [chi_line(DivClass(tuple(r))) for r in rows.tolist()]
+
+
+def test_float_range_check_compares_a_narrow_minimum_without_negating_it():
+    # -(-128) wraps in int8, with an overflow warning that tier-1 makes an error
+    kern = _kernel(surface_type("V.2"))
+    rows = np.zeros((2, 5), dtype=np.int8)
+    rows[1, 3] = -128
+    _check_float_range(rows, kern)
+    wide = np.zeros((2, 5), dtype=np.int32)
+    wide[1, 3] = np.iinfo(np.int32).min
+    with pytest.raises(FloatRangeError, match=r"^row \(0, 0, 0, -2147483648, 0\) on V\.2"):
+        _check_float_range(wide, kern)
+
+
+def test_h0_rows_read_narrow_rows_as_their_float64_copy():
+    rows = _box(4).rows
+    assert rows.dtype == np.int8
+    for t in catalog():
+        kern = _kernel(t)
+        assert (_h0_rows(rows, kern) == _h0_rows(rows.astype(np.float64), kern)).all(), t.label
+
+
+def test_h0_rows_do_not_depend_on_the_chunk_size(monkeypatch):
+    # a chunk of 7 rows splits the mask groups, gathers chunks on
+    # scattered positions and mixes rows that grow with rows that step
+    rows = _box(3).rows
+    want = {t.label: _h0_rows(rows, _kernel(t)) for t in catalog()}
+    monkeypatch.setattr(cohomology, "_CHUNK", 7)
+    for t in catalog():
+        assert (_h0_rows(rows, _kernel(t)) == want[t.label]).all(), t.label
+
+
+def test_sweep_outputs_take_a_dtype_that_holds_their_range(monkeypatch):
+    # numpy setitem wraps silently, so a fixed narrow dtype would lose an
+    # h^0 of 2^40 without an error
+    t = surface_type("IV.2")
+    plain = sweep_box(t, bound=4, return_arrays=True)["arrays"]
+    assert all(plain[h].dtype.itemsize < 8 for h in ("h0", "h1", "h2"))
+    data = _box(4)
+    d = int(np.flatnonzero(data.anti_k >= 0)[0])  # h^0(D) is read off this row
+    row = data.h0_at[0]
+    real = cohomology._h0_rows
+
+    def bumped(rows, kern):
+        h0 = real(rows, kern)
+        h0[row] += 2**40
+        return h0
+
+    monkeypatch.setattr(cohomology, "_h0_rows", bumped)
+    faulted = sweep_box(t, bound=4, return_arrays=True)["arrays"]
+    assert int(faulted["h0"][d]) == int(plain["h0"][d]) + 2**40
+    assert int(faulted["h1"][d]) == int(plain["h1"][d]) + 2**40
 
 
 @given(x=st.integers(-(2**53 - 1), 2**53 - 1), det=st.integers(1, 16))
