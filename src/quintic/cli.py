@@ -164,7 +164,7 @@ def cmd_gram(args) -> int:
     if args.classes is not None:
         collection = _collection_from_classes(args.classes)
     else:
-        collection = _COLLECTIONS[args.collection]()
+        collection = _COLLECTIONS[args.collection or "target7"]()
     matrix = gram_matrix(collection)
     unitriangular = is_unitriangular(collection)
     payload = {
@@ -231,12 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bott)
 
     p = sub.add_parser("gram", help="Euler Gram matrix of a collection")
-    p.add_argument(
-        "--collection",
-        default="target7",
-        choices=tuple(_COLLECTIONS),
-    )
-    p.add_argument("--classes", help="JSON list of {label, rank, c1, ch2} records")
+    # no parser default: argparse exempts a value identical to it from exclusion
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--collection", choices=tuple(_COLLECTIONS), help="default: target7")
+    source.add_argument("--classes", help="JSON list of {label, rank, c1, ch2} records")
     p.set_defaults(func=cmd_gram)
 
     p = sub.add_parser("report", help="full verification report as JSON")

@@ -165,6 +165,31 @@ def test_gram_custom_classes(capsys):
     assert payload["gram"] == [[1, 3], [0, 1]]
 
 
+@pytest.mark.parametrize("collection", ["lefschetz10", "target7"])
+def test_gram_refuses_a_collection_and_classes_together(capsys, collection):
+    # a collection and classes exclude each other; target7 is the default
+    # collection, which argparse's exclusion check lets through when the
+    # parser holds it as its default
+    with pytest.raises(SystemExit) as excinfo:
+        main(
+            [
+                "gram",
+                "--collection",
+                collection,
+                "--classes",
+                '[{"rank":1,"c1":[0,0,0,0,0],"ch2":[0,1]}]',
+            ]
+        )
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --classes: not allowed with argument --collection" in err
+
+
+def test_gram_defaults_to_target7(capsys):
+    assert run(capsys, "gram") == run(capsys, "gram", "--collection", "target7")
+
+
 def test_gram_bad_classes_exits_2(capsys):
     code, _, err = run(capsys, "gram", "--classes", "[{}]")
     assert code == 2
@@ -245,3 +270,54 @@ def test_closed_stdout_exits_141_without_traceback(argv):
         os.close(write_end)
     assert proc.returncode == EXIT_PIPE == 141
     assert proc.stderr == b""
+
+
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+import quintic.cli
+from quintic.cohomology import h_all, sweep_box
+from quintic.lattice import H
+from quintic.surfaces import catalog
+
+out = {"h_all": [h_all(H, t) for t in catalog()], "verbs": []}
+for argv in (["classify", "[]"], ["bott", "1", "0", "0", "0", "0"],
+             ["gram", "--collection", "lefschetz10"]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        out["verbs"].append([quintic.cli.main(argv), buf.getvalue()])
+out["numpy_before_sweep"] = sys.modules.get("numpy") is not None
+try:
+    out["sweep"] = sweep_box(catalog()[0], bound=1)["classes"]
+except ImportError:
+    out["sweep"] = "ImportError"
+out["numpy_after_sweep"] = sys.modules.get("numpy") is not None
+print(json.dumps(out))
+"""
+
+
+def _numpy_probe(mode: str) -> dict:
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, mode],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_numpy_loads_only_with_the_first_sweep():
+    # only quintic.sweep imports numpy: the CLI, scalar h_all and the point
+    # verbs run without it, with the same output where it cannot load, and
+    # the first sweep_box loads it
+    free, blocked = _numpy_probe("free"), _numpy_probe("blocked")
+    assert free["h_all"] == [[3, 0, 0]] * 12
+    assert [code for code, _ in free["verbs"]] == [0, 0, 0]
+    assert not free["numpy_before_sweep"]
+    assert free["sweep"] == 3**5 and free["numpy_after_sweep"]
+    assert (blocked["h_all"], blocked["verbs"]) == (free["h_all"], free["verbs"])
+    assert blocked["sweep"] == "ImportError"

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -10,22 +11,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quintic import cohomology
+from quintic import cohomology, sweep
 from quintic.cohomology import (
     FLOAT_EXACT_LIMIT,
     CannotConcludeError,
     CohomologyConsistencyError,
     FloatRangeError,
     ReductionDivergenceError,
-    _box,
-    _check_float_range,
-    _chi_rows,
     _h0,
-    _h0_rows,
-    _int_dtype,
     _kernel,
     _Kernel,
-    _on_grid,
     _solve_support,
     ChainCertificate,
     ChainProblem,
@@ -48,6 +43,15 @@ from quintic.lattice import (
     weyl_orbit,
 )
 from quintic.surfaces import a3_block_classes, catalog, surface_type
+from quintic.sweep import (
+    _batch,
+    _box,
+    _check_float_range,
+    _chi_rows,
+    _h0_rows,
+    _int_dtype,
+    _on_grid,
+)
 
 
 def test_negative_curves_smooth_type():
@@ -396,7 +400,7 @@ def test_suite_sweep_consistency_check_is_real():
     # flips it on every type
     data = _box(4)
     shifted = data._replace(h2_at=np.roll(data.h2_at, -1))
-    with mock.patch.object(cohomology, "_box", lambda bound: shifted):
+    with mock.patch.object(sweep, "_box", lambda bound: shifted):
         details = suite_cohomology(seed)
     assert not any(details[f"{u.label}: |coeff|<=4 sweep consistent"] for u in catalog())
 
@@ -554,13 +558,18 @@ def test_support_tables_after_bound_4_sweeps_are_the_zariski_chambers():
 
 
 def test_support_batch_copies_equal_the_integer_columns():
+    # a support holds Python integers; quintic.sweep makes its float64
+    # copies on first use and keeps them
     for t in catalog():
-        kern = _kernel(t)
+        kern = _Kernel(t)
         m = len(kern.curves)
         for mask in range(1, 1 << m):
             if _solve_support(kern.gram, [i for i in range(m) if mask >> i & 1]) is None:
                 continue
             sup = kern.support(mask)
+            assert sup.batch is None
+            assert all(type(x) is int for cols in (sup.solve, sup.step) for c in cols for x in c)
+            assert _batch(sup) is sup.batch is _batch(sup)
             for copy, cols in zip(sup.batch, (sup.solve, sup.step)):
                 assert copy.dtype == np.float64 and copy.flags.c_contiguous
                 assert copy.tolist() == [list(row) for row in zip(*cols)], (t.label, mask)
@@ -801,7 +810,7 @@ def test_sweep_box_names_a_negative_h1_class_in_plain_ints(monkeypatch):
     # with h^0 = h^2 = 0 everywhere, h^1 = -chi; the first class of the
     # bound-1 box with chi > 0 is (0, -1, -1, -1, -1)
     monkeypatch.setattr(
-        cohomology, "_h0_rows", lambda rows, kern: np.zeros(rows.shape[0], dtype=np.int64)
+        sweep, "_h0_rows", lambda rows, kern: np.zeros(rows.shape[0], dtype=np.int64)
     )
     with pytest.raises(
         CohomologyConsistencyError, match=r"^negative h\^1 at \(0, -1, -1, -1, -1\) on I\.1$"
@@ -841,9 +850,40 @@ def test_h0_rows_do_not_depend_on_the_chunk_size(monkeypatch):
     # scattered positions and mixes rows that grow with rows that step
     rows = _box(3).rows
     want = {t.label: _h0_rows(rows, _kernel(t)) for t in catalog()}
-    monkeypatch.setattr(cohomology, "_CHUNK", 7)
+    monkeypatch.setattr(sweep, "_CHUNK", 7)
     for t in catalog():
         assert (_h0_rows(rows, _kernel(t)) == want[t.label]).all(), t.label
+
+
+def test_step_round_moves_a_row_only_once_its_support_stops_growing(monkeypatch):
+    # the float64 carrier proof bounds the products of a round by the rows
+    # of its start, so a row whose support still grows must not step.  The
+    # answers cannot show it: re-solving on the grown support ends at the
+    # same class.  So every time _step_round asks for a support, each row
+    # must still hold its class of the round start or already the one it
+    # ends the round at
+    real = sweep._step_round
+    seen = []
+
+    def watched(cur, masks, kern, rows, idx):
+        start, moved = cur.copy(), []
+
+        def support(mask):
+            at = np.flatnonzero((cur != start).any(axis=1))
+            moved.append((at, cur[at]))
+            return kern.support(mask)
+
+        proxy = SimpleNamespace(curves=kern.curves, label=kern.label, support=support)
+        real(cur, masks, proxy, rows, idx)
+        for at, values in moved:
+            assert (values == cur[at]).all(), kern.label
+        seen.append(sum(at.size for at, _ in moved))
+
+    monkeypatch.setattr(sweep, "_step_round", watched)
+    rows = _box(4).rows
+    for t in catalog():
+        _h0_rows(rows, _kernel(t))
+    assert max(seen) > 0  # rows stepped while later supports were still asked for
 
 
 def test_sweep_outputs_take_a_dtype_that_holds_their_range(monkeypatch):
@@ -855,14 +895,14 @@ def test_sweep_outputs_take_a_dtype_that_holds_their_range(monkeypatch):
     data = _box(4)
     d = int(np.flatnonzero(data.anti_k >= 0)[0])  # h^0(D) is read off this row
     row = data.h0_at[0]
-    real = cohomology._h0_rows
+    real = sweep._h0_rows
 
     def bumped(rows, kern):
         h0 = real(rows, kern)
         h0[row] += 2**40
         return h0
 
-    monkeypatch.setattr(cohomology, "_h0_rows", bumped)
+    monkeypatch.setattr(sweep, "_h0_rows", bumped)
     faulted = sweep_box(t, bound=4, return_arrays=True)["arrays"]
     assert int(faulted["h0"][d]) == int(plain["h0"][d]) + 2**40
     assert int(faulted["h1"][d]) == int(plain["h1"][d]) + 2**40

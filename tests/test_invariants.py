@@ -1,6 +1,6 @@
-"""Checks on the package source: no assert statements, every ``__all__``
-entry exists, and every name the benchmark tracer in perfbench/spans.py
-looks up still exists."""
+"""Checks on the package source: no assert statements, numpy imported by
+quintic.sweep alone, every ``__all__`` entry exists, and every name the
+benchmark tracer in perfbench/spans.py looks up still exists."""
 
 import ast
 import importlib
@@ -23,6 +23,22 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert statements at lines {lines}"
+
+
+def test_only_the_sweep_module_imports_numpy():
+    # the exact layer runs on Python integers; the batch rounds alone carry
+    # them in float64
+    def imports_numpy(node):
+        if isinstance(node, ast.Import):
+            return any(a.name.split(".")[0] == "numpy" for a in node.names)
+        return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+
+    importers = [
+        p.name
+        for p in SOURCES
+        if any(map(imports_numpy, ast.walk(ast.parse(p.read_text(encoding="utf-8")))))
+    ]
+    assert importers == ["sweep.py"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
