@@ -85,30 +85,31 @@ is integral, and
 
 with -ceil(N) = floor(-det * N / det).  The columns of solve on the curves
 outside S are the growth test of step 3, and the last column of step is
-the drop check of (d).  adj(-M_S) and det come from Bareiss's
+the drop check of (d).  If det = 1, N is integral, and D - N meets S in
+0 and, by the growth test, every other curve nonnegatively: it is nef,
+and both forms end there.  adj(-M_S) and det come from Bareiss's
 fraction-free elimination, then solve and step from integer products.
 Scalar h_all applies them to one class in Python integers; sweep_box
 applies float64 copies of them to rows of classes, grouping its open rows
 by support mask at every growth step.  Once the twelve bound-4 sweeps have
-run, the tables hold exactly the 532 nonempty Zariski chambers of the
-twelve types.
+run, the tables hold exactly the 532 nonempty Zariski chambers.
 
-The -K pre-filter.  Both forms need h^0(D) and h^2(D) = h^0(K - D), and
-run the rounds on one of the two classes at most.  -K is nef: by
-adjunction -K.C = C^2 + 2, which is 0 on a (-2)-curve and 1 on a
-(-1)-curve, and each kernel checks -K.C >= 0 on its curves.  So -K lies in
-the nef cone, and by (e) it is a nonnegative combination of the rays P_j.
-A class X with X.(-K) < 0 therefore has X.P_j < 0 for some j, and step 1
-ends it with h^0(X) = 0; skipping its rounds changes no answer.  Since
-K^2 = 5, (K - D).(-K) = -5 - D.(-K), so at most one of D and K - D meets -K
+The dominant-chamber pre-filter.  Both forms need h^0(D) and h^2(D) =
+h^0(K - D), and run the rounds on one of the two classes at most.  An
+effective class meets a nef class P nonnegatively, so X.P < 0 gives
+h^0(X) = 0, and skipping the rounds of X changes no answer.  -K is nef:
+-K.C = C^2 + 2 by adjunction, and each kernel checks -K.C >= 0.  Since
+K^2 = 5, (K - D).(-K) = -5 - D.(-K): at most one of D and K - D meets -K
 nonnegatively, and neither does when -5 < D.(-K) < 0.  Scalar h_all reads
 D.(-K) = 3a - b1 - b2 - b3 - b4 and runs the rounds on D when it is >= 0,
-on K - D when it is <= -5, and not at all in between.  sweep_box does the
-same for a box: the box, chi and D.(-K) do not depend on the type and are
-computed once per bound, and the batch rounds run only on the D with
-D.(-K) >= 0 and the K - D with D.(-K) <= -5, solving each such class once,
-though a class can be needed both as D and as K - D (0.690 and 0.672 of
-the box size at bounds 4 and 5, against twice the box size).
+on K - D when it is <= -5, and not at all in between.  sweep_box tests
+the rays of the dominant Weyl chamber {D : D.r >= 0 on the simple roots
+r, D.e4 >= 0}, h, h - e1, 2h - e1 - e2, 3h - e1 - e2 - e3 and -K, that
+its kernel checks nef on its curves: all five on the twelve types, not
+h - e1 on a type with the (-2)-curve e2 - e1.  So the twelve types share
+the box, chi and the rows of a bound, and the batch rounds run only on
+the D and the K - D that meet every kept ray nonnegatively, each once
+(0.438 and 0.432 of the box size at bounds 4 and 5, against twice it).
 
 The batch rounds, in quintic.sweep, carry integers in float64; its
 docstring proves them exact and accounts for their memory.
@@ -124,7 +125,7 @@ from operator import mul
 from typing import Sequence
 
 from .euler import chi_line, euler_pair, f_tilde_class, hilbert_poly, structure_class
-from .lattice import H, K, ZERO, DivClass, minus_one_classes
+from .lattice import E, H, K, ZERO, DivClass, minus_one_classes, simple_roots
 from .surfaces import SurfaceType
 
 __all__ = [
@@ -303,11 +304,15 @@ def _nef_rays(func: Sequence[tuple[int, ...]]) -> tuple[DivClass, ...]:
     return tuple(DivClass(r) for r in sorted(rays))
 
 
+# h, h - e1, 2h - e1 - e2, 3h - e1 - e2 - e3 and -K (module docstring, pre-filter)
+_CHAMBER_RAYS = _nef_rays([tuple(map(mul, _SIGNS, r.coeffs)) for r in (*simple_roots(), E[4])])
+
+
 class _Kernel:
     """Per-type data of the Zariski rounds, shared by the scalar and batch
     forms: the negative curves, the extremal rays of the nef cone (step 1),
-    their sum A (the measure class of (d)) and the support table of the
-    Zariski chambers."""
+    their sum A (the measure class of (d)), the support table of the
+    Zariski chambers and the prefilter of sweep_box (module docstring)."""
 
     def __init__(self, t: SurfaceType):
         nc = negative_curves(t)
@@ -329,6 +334,7 @@ class _Kernel:
             if any(ray.dot(c) < 0 for c in self.curves):
                 raise CohomologyConsistencyError(f"{t.label}: ray {ray.coeffs} is not nef")
         self.ray_ints = tuple(tuple(map(mul, _SIGNS, r.coeffs)) for r in self.rays)
+        self.prefilter = tuple(p for p in _CHAMBER_RAYS if all(p.dot(c) >= 0 for c in self.curves))
         measure = sum(self.rays, ZERO)
         self.measure = tuple(measure.dot(c) for c in self.curves)
         if min(self.measure) <= 0:
@@ -380,8 +386,7 @@ def _h0(coeffs: tuple[int, ...], t: SurfaceType) -> tuple[int, DivClass]:
                 mask |= bit
             bit <<= 1
         if not mask:
-            d = DivClass((a, b1, b2, b3, b4))
-            return max(chi_line(d), 0), d
+            break
         while True:  # step 3
             sup = kern.support(mask)
             s = len(sup.idx)
@@ -403,6 +408,10 @@ def _h0(coeffs: tuple[int, ...], t: SurfaceType) -> tuple[int, DivClass]:
                 f"Zariski round did not lower A.D at {coeffs} on {t.label}"
             )
         a, b1, b2, b3, b4 = a + da, b1 + db1, b2 + db2, b3 + db3, b4 + db4
+        if sup.det == 1:  # D - N is nef (module docstring, support table)
+            break
+    d = DivClass((a, b1, b2, b3, b4))
+    return max(chi_line(d), 0), d
 
 
 def h_all(d: DivClass, t: SurfaceType) -> tuple[int, int, int]:

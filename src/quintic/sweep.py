@@ -41,28 +41,27 @@ is below 1/det, so n < q < n + 1 and floor(q) = n.
 
 Memory.  Of the sweep's arrays only the rows that a round steps and the
 products need float64; the rest are kept narrow, and the kernel keeps one
-copy of its open rows.  _box holds the box, D.(-K), chi and the kernel
-rows in the narrowest signed dtype that holds their values on the box,
-chosen from the bound, so that no bound wraps (under NEP 50, int8 + 3
-stays int8 and wraps silently).  The kernel rows are points of the grid
-that holds both the box and K - box, which runs from its corner to bound
-on every axis.  Each of the other three is a sum of one term per
-coefficient: d_j itself, the weight of d_j in D.(-K), and half of
-sign_j d_j (d_j - k_j) for chi, which is an integer because every k_j is
-odd.  So the least and the greatest value over the box, and over each
-partial sum, are sums of per-coefficient extremes, and _on_grid adds the
-terms one axis at a time, by broadcasting into an array of that dtype,
-with no n x 5 temporary.  Up to bound 6 all four are int8.  Arithmetic
+copy of its open rows.  _box holds the box, chi and the kernel rows in the
+narrowest signed dtype that holds their values on the box, chosen from
+the bound, so that no bound wraps (under NEP 50, int8 + 3 stays int8 and
+wraps silently), and the pre-filter's masks as bools.  The kernel rows are
+points of the grid that holds both the box and K - box, which runs from
+its corner to bound on every axis.  chi and each D.P are sums of one term
+per coefficient (for chi half of sign_j d_j (d_j - k_j), an integer as
+every k_j is odd), so their least and greatest values over the box, and
+over each partial sum, are sums of per-coefficient extremes, and _on_grid
+adds the terms one axis at a time, by broadcasting into an array of that
+dtype, with no n x 5 temporary.  Up to bound 6 all are int8.  Arithmetic
 that can leave that range runs wider: the grid codes of D and K - D in the
 dtype of their own range (int32 at bound 5), chi of a row in int64 (int8
 squares wrap), and h^0 in int64.  h0_at, h2_at and the kernel's row index
 take the narrowest dtype that holds the row count, and the returned h0, h1
 and h2 the narrowest that holds h^1 = h^0 + h^2 - chi, which lies between
--max chi and 2 max h^0 - min chi.  The float64 rows and products are
-chunked as _round_codes, _h0_rows and _step_round describe.  Under
-tracemalloc, at bound 5, _box holds 2.1 MiB (13.9 bytes per class of the
-box, 37.4 with float64 kernel rows), a warm sweep on V.2 peaks 6.3 MiB (41
-bytes per class) above it, and twelve sweeps peak at 8.5 MiB with _box.
+-max chi and 2 max h^0 - min chi.  The float64 rows and products, and chi,
+are chunked as _round_codes, _chi_rows, _h0_rows and _step_round describe.
+Under tracemalloc, at bound 5, _box holds 1.9 MiB (12.3 bytes per class of
+the box), a warm sweep on V.2 peaks 5.9 MiB (38.2 bytes per class) above
+it, and twelve sweeps peak at 7.8 MiB with _box.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ import numpy as np
 
 from .cohomology import _SIGNS, FLOAT_EXACT_LIMIT, CohomologyConsistencyError, FloatRangeError
 from .cohomology import ReductionDivergenceError, _Kernel, _Support
-from .lattice import K
+from .lattice import K, DivClass
 
 
 def _batch(sup: _Support) -> tuple[np.ndarray, np.ndarray]:
@@ -85,19 +84,26 @@ def _batch(sup: _Support) -> tuple[np.ndarray, np.ndarray]:
     return sup.batch
 
 
+_CHUNK = 8192
+
+
 def _chi_rows(rows: np.ndarray, at: np.ndarray) -> np.ndarray:
     """chi = (D^2 - D.K)/2 + 1 of the rows at of an array of integers,
-    narrow or float64, summed a column at a time; each column is widened to
-    int64 before it is multiplied, since int8 squares wrap."""
-    num = np.zeros(at.size, dtype=np.int64)
-    for j, (sign, k) in enumerate(zip(_SIGNS, K.coeffs)):
-        col = rows[at, j].astype(np.int64)
-        num += sign * col * (col - k)
-    odd = (num & 1).astype(bool)
-    if odd.any():
-        bad = tuple(int(x) for x in rows[at[odd][0]])
-        raise CohomologyConsistencyError(f"parity violation in chi at {bad}")
-    return (num >> 1) + 1
+    narrow or float64, _CHUNK rows at a time, each column widened to int64
+    before it is multiplied, since int8 squares wrap."""
+    chi = np.empty(at.size, dtype=np.int64)
+    for lo in range(0, at.size, _CHUNK):
+        part = rows.take(at[lo : lo + _CHUNK], axis=0)
+        num = np.zeros(part.shape[0], dtype=np.int64)
+        for col, sign, k in zip(part.T, _SIGNS, K.coeffs):
+            col = col.astype(np.int64)
+            num += sign * col * (col - k)
+        odd = np.flatnonzero(num & 1)
+        if odd.size:
+            bad = tuple(int(x) for x in part[odd[0]])
+            raise CohomologyConsistencyError(f"parity violation in chi at {bad}")
+        chi[lo : lo + _CHUNK] = (num >> 1) + 1
+    return chi
 
 
 def _check_float_range(rows: np.ndarray, kern: _Kernel) -> None:
@@ -108,9 +114,6 @@ def _check_float_range(rows: np.ndarray, kern: _Kernel) -> None:
             f"row {tuple(int(x) for x in bad)} on {kern.label} has a coefficient "
             f"beyond the float64-exact limit FLOAT_EXACT_LIMIT = {FLOAT_EXACT_LIMIT}"
         )
-
-
-_CHUNK = 8192
 
 
 def _round_codes(rows: np.ndarray, tests: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -134,34 +137,39 @@ def _h0_rows(rows: np.ndarray, kern: _Kernel) -> np.ndarray:
     float64, by the rounds of cohomology._h0; rows is not modified.
 
     A row leaves when a round ends it; only the rows that end at a nef
-    class are written, every other ending has h^0 = 0.  Each round gathers
-    its open rows, sorted by support mask, into one new float64 array, and
-    _step_round steps them there in place.
+    class are written, every other ending has h^0 = 0.  Each round takes
+    its open rows, sorted by support mask, into one new float64 array
+    (take gathers rows several times faster than fancy indexing), and
+    _step_round steps them there in place and ends those on a det-1 support.
     """
     m, k = len(kern.curve_ints), len(kern.ray_ints)
     tests = np.array([*zip(*kern.curve_ints, *kern.ray_ints)], dtype=np.float64)
     bits = np.minimum(2.0 ** np.arange(m + k), 2.0**m)
     h0 = np.zeros(rows.shape[0], dtype=np.int64)
     cur, idx = rows, np.arange(rows.shape[0], dtype=_int_dtype(0, rows.shape[0]))
+    _check_float_range(cur, kern)
     while idx.size:
-        _check_float_range(cur, kern)
         masks = _round_codes(cur, tests, bits)
         nef = np.flatnonzero(masks == 0)
         h0[idx[nef]] = np.maximum(_chi_rows(cur, nef), 0)
         order = np.flatnonzero((masks != 0) & (masks < 1 << m))
         order = order[np.argsort(masks[order], kind="stable")]
-        cur, idx, masks = cur[order].astype(np.float64, copy=False), idx[order], masks[order]
+        cur = cur.take(order, axis=0).astype(np.float64, copy=False)
+        idx, masks = idx[order], masks[order]
         del nef, order  # else both live through the round
-        _step_round(cur, masks, kern, rows, idx)
+        ended = _step_round(cur, masks, kern, rows, idx)
+        _check_float_range(cur, kern)
+        h0[idx[ended]] = np.maximum(_chi_rows(cur, np.flatnonzero(ended)), 0)
+        cur, idx = cur.take(np.flatnonzero(~ended), axis=0), idx[~ended]
     return h0
 
 
 def _step_round(
     cur: np.ndarray, masks: np.ndarray, kern: _Kernel, rows: np.ndarray, idx: np.ndarray
-) -> None:
+) -> np.ndarray:
     """Step every row of cur by one round, in place; cur is sorted by masks,
     the support masks of its rows, and rows[idx] are the classes they came
-    from.
+    from.  Returns the rows that end, those stepped on a support with det 1.
 
     todo holds the positions of the rows whose support is still growing,
     sorted by mask and, within a mask, by position, so that a group is a
@@ -177,6 +185,7 @@ def _step_round(
     on rows bounded by the X of the float64 carrier proof.
     """
     bits = 2.0 ** np.arange(len(kern.curves))
+    ended = np.zeros(cur.shape[0], dtype=bool)
     todo = np.arange(cur.shape[0])
     todo_masks = masks
     while todo.size:
@@ -190,7 +199,7 @@ def _step_round(
             for lo in range(start, end, _CHUNK):
                 at = todo[lo : min(lo + _CHUNK, end)]
                 in_place = at[-1] - at[0] == at.size - 1
-                block = cur[at[0] : at[-1] + 1] if in_place else cur[at]
+                block = cur[at[0] : at[-1] + 1] if in_place else cur.take(at, axis=0)
                 prod = block @ solve
                 grown = mask | ((prod[:, s:] < 0) @ bits).astype(masks.dtype)
                 stay = grown == mask
@@ -211,9 +220,11 @@ def _step_round(
                     block += delta[:, :5]
                 else:
                     cur[at] = block + delta[:, :5]
+                ended[at] = stay & (sup.det == 1)  # D - N is nef (cohomology, support table)
         todo = todo[grew]
         todo = todo[np.lexsort((todo, masks[todo]))]
         todo_masks = masks[todo]
+    return ended
 
 
 def _int_dtype(lo: int, hi: int) -> np.dtype:
@@ -247,21 +258,22 @@ def _on_grid(terms: np.ndarray) -> np.ndarray:
 class _BoxData(NamedTuple):
     box: np.ndarray  # the classes D, one per row, in the narrowest dtype holding +-bound
     chi: np.ndarray  # chi(D), in the narrowest dtype holding its range on the box
-    anti_k: np.ndarray  # D.(-K), likewise
+    h0_mask: np.ndarray  # the D that pass the pre-filter
+    h2_mask: np.ndarray  # the D whose K - D passes it
     rows: np.ndarray  # the kernel's input, each needed class once, in the narrowest dtype
-    h0_at: np.ndarray  # the row of D, for each D with D.(-K) >= 0
-    h2_at: np.ndarray  # the row of K - D, for each D with D.(-K) <= -5
+    h0_at: np.ndarray  # the row of D, for each D of h0_mask
+    h2_at: np.ndarray  # the row of K - D, for each D of h2_mask
 
 
 @lru_cache(maxsize=1)
-def _box(bound: int) -> _BoxData:
-    """The type-independent data of a sweep at bound, shared read-only by
-    every type: rows holds each of the D with D.(-K) >= 0 and the K - D with
-    D.(-K) <= -5 once (the -K pre-filter of quintic.cohomology), in the order of
-    their codes in the grid that holds both the box and K - box.  The
-    integer arrays take the narrowest signed dtypes that hold them (module
-    docstring, memory); h0_at and h2_at the narrowest that holds the row
-    count."""
+def _box(bound: int, rays: tuple[DivClass, ...]) -> _BoxData:
+    """The data of a sweep at bound, shared read-only by every type that
+    keeps the same pre-filter rays: rows holds once each of the D with
+    D.P >= 0 and the K - D with (K - D).P >= 0 for every P of rays (the
+    pre-filter of quintic.cohomology), in the order of their codes in the
+    grid that holds both the box and K - box.  The integer arrays take the
+    narrowest signed dtypes that hold them (module docstring, memory);
+    h0_at and h2_at the narrowest that holds the row count."""
     s = 2 * bound + 1
     r = np.arange(-bound, bound + 1)
     k, signs = np.array(K.coeffs)[:, None], np.array(_SIGNS)[:, None]
@@ -269,7 +281,11 @@ def _box(bound: int) -> _BoxData:
     grid = box.reshape((s,) * 5 + (5,))
     for j in range(5):
         grid[..., j] = r.reshape((s,) + (1,) * (4 - j))
-    anti_k = _on_grid(-signs * k * r)
+    h0_mask, h2_mask = np.ones((2, s**5), dtype=bool)
+    for p in rays:  # (K - D).P = K.P - D.P
+        deg = _on_grid(signs * np.array(p.coeffs)[:, None] * r)
+        h0_mask &= deg >= 0
+        h2_mask &= deg <= K.dot(p)
     # D^2 - D.K = sum_j sign_j d_j (d_j - k_j); every k_j is odd, so each
     # term is even, and chi = 1 + the sum of the halved terms
     num = signs * r * (r - k)
@@ -282,8 +298,8 @@ def _box(bound: int) -> _BoxData:
     corner = np.minimum(-bound, k - bound)
     sides = tuple((s + np.abs(k)).ravel().tolist())
     strides = np.cumprod((1, *sides[:0:-1]))[::-1, None]
-    h0_codes = _on_grid((r - corner) * strides)[anti_k >= 0]
-    h2_codes = _on_grid((k - r - corner) * strides)[anti_k <= -5]
+    h0_codes = _on_grid((r - corner) * strides)[h0_mask]
+    h2_codes = _on_grid((k - r - corner) * strides)[h2_mask]
     marked = np.zeros(sides, dtype=bool)
     flat = marked.reshape(-1)
     flat[h0_codes] = flat[h2_codes] = True
@@ -294,7 +310,7 @@ def _box(bound: int) -> _BoxData:
     for j, side in enumerate(sides):
         coord = np.arange(side) + corner[j]
         rows[:, j] = np.broadcast_to(coord.reshape((side,) + (1,) * (4 - j)), sides)[marked]
-    data = _BoxData(box, chi, anti_k, rows, rank[h0_codes], rank[h2_codes])
+    data = _BoxData(box, chi, h0_mask, h2_mask, rows, rank[h0_codes], rank[h2_codes])
     for a in data:
         a.setflags(write=False)
     return data
@@ -304,7 +320,7 @@ def run(kern: _Kernel, bound: int, return_arrays: bool) -> dict:
     """cohomology.sweep_box at a checked bound, on the kernel of its type:
     box and chi are _box's arrays, shared and read-only, and h0, h1 and h2
     take the narrowest signed dtype that holds their range."""
-    box, chi, anti_k, rows, h0_at, h2_at = _box(bound)
+    box, chi, h0_mask, h2_mask, rows, h0_at, h2_at = _box(bound, kern.prefilter)
     n = box.shape[0]
     h0 = _h0_rows(rows, kern)
     # h^1 = h^0 + h^2 - chi lies in [-max chi, 2 max h^0 - min chi], and
@@ -314,8 +330,8 @@ def run(kern: _Kernel, bound: int, return_arrays: bool) -> dict:
     top = int(h0.max(initial=0))
     dtype = _int_dtype(min(0, -int(chi.max())), 2 * top - min(0, int(chi.min())))
     h0_d, h1_d, h2_d = np.zeros((3, n), dtype=dtype)
-    h0_d[anti_k >= 0] = h0[h0_at]
-    h2_d[anti_k <= -5] = h0[h2_at]
+    h0_d[h0_mask] = h0[h0_at]
+    h2_d[h2_mask] = h0[h2_at]
     del h0
     np.add(h0_d, h2_d, out=h1_d)
     h1_d -= chi

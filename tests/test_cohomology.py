@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from quintic import cohomology, sweep
 from quintic.cohomology import (
+    _CHAMBER_RAYS,
+    _SIGNS,
     FLOAT_EXACT_LIMIT,
     CannotConcludeError,
     CohomologyConsistencyError,
@@ -40,9 +43,10 @@ from quintic.lattice import (
     delta,
     line_through,
     minus_one_classes,
+    simple_roots,
     weyl_orbit,
 )
-from quintic.surfaces import a3_block_classes, catalog, surface_type
+from quintic.surfaces import _surface, a3_block_classes, catalog, surface_type
 from quintic.sweep import (
     _batch,
     _box,
@@ -51,6 +55,7 @@ from quintic.sweep import (
     _h0_rows,
     _int_dtype,
     _on_grid,
+    _round_codes,
 )
 
 
@@ -398,9 +403,9 @@ def test_suite_sweep_consistency_check_is_real():
     # row; the Serre conjunct checks _box's map to that row against the flip
     # of the box's corner that holds the mirrors.  A map shifted by one row
     # flips it on every type
-    data = _box(4)
+    data = _box(4, _CHAMBER_RAYS)
     shifted = data._replace(h2_at=np.roll(data.h2_at, -1))
-    with mock.patch.object(sweep, "_box", lambda bound: shifted):
+    with mock.patch.object(sweep, "_box", lambda bound, rays: shifted):
         details = suite_cohomology(seed)
     assert not any(details[f"{u.label}: |coeff|<=4 sweep consistent"] for u in catalog())
 
@@ -539,7 +544,7 @@ def test_support_tables_after_bound_4_sweeps_are_the_zariski_chambers():
     kernels = {t.label: _Kernel(t) for t in catalog()}
     with _kernels(kernels):
         for t in catalog():
-            for d in _box(2).box.tolist():
+            for d in _box(2, _CHAMBER_RAYS).box.tolist():
                 _h0(tuple(d), t)
             sweep_box(t, bound=4)
     chambers = []
@@ -649,30 +654,57 @@ def test_scalar_and_batch_rounds_agree_on_point_query_classes(label, coeffs):
 
 
 def test_sweep_prefilter_drops_only_rows_with_no_sections():
-    # (K - D).(-K) = -5 - D.(-K): in the gap -5 < D.(-K) < 0 neither D nor
-    # K - D passes step 1, so sweep_box never sends them to the kernel
-    box, _, anti_k, rows, h0_at, h2_at = _box(3)
+    # a class that meets a nef chamber ray negatively has no sections, so
+    # sweep_box sends it to the kernel neither as D nor as K - D.  -K is a
+    # ray and (K - D).(-K) = -5 - D.(-K), so no class is needed on both sides
+    box, _, h0_mask, h2_mask, rows, h0_at, h2_at = _box(3, _CHAMBER_RAYS)
     classes = [DivClass(tuple(d)) for d in box.tolist()]
-    assert anti_k.tolist() == [d.dot(-K) for d in classes]
-    assert [(K - d).dot(-K) for d in classes] == (-5 - anti_k).tolist()
-    gap = box[(anti_k > -5) & (anti_k < 0)].tolist()
-    assert len(gap) + h0_at.size + h2_at.size == box.shape[0]
+    assert h0_mask.tolist() == [min(d.dot(p) for p in _CHAMBER_RAYS) >= 0 for d in classes]
+    assert h2_mask.tolist() == [min((K - d).dot(p) for p in _CHAMBER_RAYS) >= 0 for d in classes]
+    assert not (h0_mask & h2_mask).any()
     # every needed class is one row, and the maps find it
     assert len(set(map(tuple, rows.tolist()))) == rows.shape[0]
-    assert (rows[h0_at] == box[anti_k >= 0]).all()
-    assert (rows[h2_at] == np.array(K.coeffs) - box[anti_k <= -5]).all()
+    assert (rows[h0_at] == box[h0_mask]).all()
+    assert (rows[h2_at] == np.array(K.coeffs) - box[h2_mask]).all()
     for t in catalog():
-        for d in gap:
+        for d in box[~h0_mask].tolist():
             assert _h0(tuple(d), t)[0] == 0, (t.label, d)
+        for d in box[~h2_mask].tolist():
             assert _h0((K - DivClass(tuple(d))).coeffs, t)[0] == 0, (t.label, d)
-    assert [_box(b).rows.shape[0] for b in (4, 5)] == [40745, 108202]
+    # against 40,745 and 108,202 rows with -K alone
+    assert [_box(b, (-K,)).rows.shape[0] for b in (4, 5)] == [40745, 108202]
+    assert [_box(b, _CHAMBER_RAYS).rows.shape[0] for b in (4, 5)] == [25845, 69646]
+
+
+def test_prefilter_rays_are_the_dominant_chamber_rays_and_nef_on_every_type():
+    # the cone D.r >= 0 on the simple roots r and D.e4 >= 0 is simplicial:
+    # each ray is nef on the chamber's four other walls and positive on one
+    walls = [*simple_roots(), E[4]]
+    assert _CHAMBER_RAYS == (H, H - E[1], 2 * H - E[1] - E[2], 3 * H - E[1] - E[2] - E[3], -K)
+    for p in _CHAMBER_RAYS:
+        assert sorted(p.dot(w) for w in walls) == [0, 0, 0, 0, 1], p
+    for t in catalog():
+        assert all(p.dot(c) >= 0 for p in _CHAMBER_RAYS for c in negative_curves(t).all)
+        assert _kernel(t).prefilter == _CHAMBER_RAYS, t.label
+
+
+def test_sweep_prefilter_keeps_only_the_rays_nef_on_its_type():
+    # II.1 relabelled so that its (-2)-curve is e2 - e1: h - e1 meets it in -1,
+    # and the catalog's rays would drop the effective classes that meet h - e1
+    # negatively, starting with e2 - e1 itself
+    t = _surface("II.1'", [delta(2, 1)])
+    assert _kernel(t).prefilter == tuple(p for p in _CHAMBER_RAYS if p != H - E[1])
+    assert h_all(delta(2, 1), t) == (1, 1, 0)
+    arr = sweep_box(t, bound=2, return_arrays=True)["arrays"]
+    for row, *h in zip(*(arr[k].tolist() for k in ("box", "h0", "h1", "h2"))):
+        assert h_all(DivClass(tuple(row)), t) == tuple(h), row
 
 
 def test_h_all_runs_the_rounds_once_and_only_on_a_side_that_meets_minus_k(monkeypatch):
     # h_all applies the -K pre-filter of the sweep: one _h0 per class, on D
     # when D.(-K) >= 0, on K - D when D.(-K) <= -5 and on neither in between,
     # with the answers of the two-sided rounds
-    box, chi, anti_k, *_ = _box(3)
+    box, chi, *_ = _box(3, _CHAMBER_RAYS)
     calls = []
 
     def counted(coeffs, t):
@@ -681,8 +713,9 @@ def test_h_all_runs_the_rounds_once_and_only_on_a_side_that_meets_minus_k(monkey
 
     monkeypatch.setattr(cohomology, "_h0", counted)
     for t in catalog():
-        for d, c, k in zip(box.tolist(), chi.tolist(), anti_k.tolist()):
+        for d, c in zip(box.tolist(), chi.tolist()):
             d = DivClass(tuple(d))
+            k = d.dot(-K)
             calls.clear()
             got = h_all(d, t)
             assert len(calls) == (not -5 < k < 0), (t.label, d)
@@ -695,7 +728,8 @@ def test_sweep_agrees_with_kernel_runs_on_d_and_k_minus_d_separately():
     # the sweep solves a class needed as D and as K - D once; two separate
     # kernel batches, one of the D rows and one of the K - D rows, repeat
     # the work it shares
-    box, _, anti_k, *_ = _box(3)
+    box = _box(3, _CHAMBER_RAYS).box
+    anti_k = box.astype(np.int64) @ (np.array(_SIGNS) * -np.array(K.coeffs))
     d_rows, mirror_rows = anti_k >= 0, anti_k <= -5
     for t in catalog():
         arr = sweep_box(t, bound=3, return_arrays=True)["arrays"]
@@ -724,42 +758,48 @@ def test_sweep_box_arrays_are_shared_read_only_and_repeatable():
         assert a[key] is b[key]
         with pytest.raises(ValueError):
             a[key][0] = 0
-    for data in _box(2):
+    for data in _box(2, _CHAMBER_RAYS):
         with pytest.raises(ValueError):
             data[0] = 0
 
 
-def _box_reference(bound):
-    """_box built the plain way, in int64: the box from np.indices, D.(-K)
-    and chi by matrix products, the needed rows from a union of grid codes
-    and the maps by binary search."""
-    signs, k = np.array([1, -1, -1, -1, -1]), np.array(K.coeffs)
+def _box_reference(bound, rays):
+    """_box built the plain way, in int64: the box from np.indices, chi and
+    the degrees on the rays by matrix products, the needed rows from a union
+    of grid codes and the maps by binary search."""
+    signs, k = np.array(_SIGNS), np.array(K.coeffs)
     box = np.indices((2 * bound + 1,) * 5, dtype=np.int64).reshape(5, -1).T - bound
-    anti_k = box @ (signs * -k)
     chi = (box * (box - k)) @ signs // 2 + 1
+    tests = np.array([signs * p.coeffs for p in rays]).reshape(-1, 5).T
+    h0_mask, h2_mask = ((x @ tests >= 0).all(axis=1) for x in (box, k - box))
     corner, sides = np.minimum(-bound, k - bound), 2 * bound + 1 + np.abs(k)
-    h0_codes = np.ravel_multi_index((box[anti_k >= 0] - corner).T, sides)
-    h2_codes = np.ravel_multi_index((k - box[anti_k <= -5] - corner).T, sides)
+    h0_codes = np.ravel_multi_index((box[h0_mask] - corner).T, sides)
+    h2_codes = np.ravel_multi_index((k - box[h2_mask] - corner).T, sides)
     codes = np.union1d(h0_codes, h2_codes)
     rows = np.stack(np.unravel_index(codes, sides), axis=1) + corner
     at = (np.searchsorted(codes, h0_codes), np.searchsorted(codes, h2_codes))
-    return box, chi, anti_k, rows, *at
+    return box, chi, h0_mask, h2_mask, rows, *at
 
 
 @pytest.mark.parametrize("bound", range(7))
 def test_box_matches_a_plain_int64_reference(bound):
-    data = _box(bound)
-    # box, chi, D.(-K) and the kernel rows fit int8 up to bound 6 (|chi| <= 84,
-    # |D.(-K)| <= 42, the rows span -bound - 3 to bound); the maps take the
-    # narrowest signed dtype that holds the row count
-    at_dtype = next(
-        np.dtype(d) for d in (np.int8, np.int16, np.int32) if np.iinfo(d).max >= data.rows.shape[0]
-    )
-    dtypes = [np.int8, np.int8, np.int8, np.int8, at_dtype, at_dtype]
-    for name, got, want, dtype in zip(data._fields, data, _box_reference(bound), dtypes):
-        assert got.dtype == dtype, (bound, name)
-        assert got.shape == want.shape and (got == want).all(), (bound, name)
-        assert not got.flags.writeable, (bound, name)
+    # the rays of the catalog, of a type that keeps four, of -K alone, and none
+    all_rays = [_CHAMBER_RAYS, _kernel(_surface("II.1'", [delta(2, 1)])).prefilter, (-K,), ()]
+    for rays in all_rays:
+        data = _box(bound, rays)
+        # box, chi and the kernel rows fit int8 up to bound 6 (|chi| <= 84,
+        # the rows span -bound - 3 to bound); the maps take the narrowest
+        # signed dtype that holds the row count
+        at_dtype = next(
+            np.dtype(d)
+            for d in (np.int8, np.int16, np.int32)
+            if np.iinfo(d).max >= data.rows.shape[0]
+        )
+        dtypes = [np.int8, np.int8, bool, bool, np.int8, at_dtype, at_dtype]
+        for name, got, want, dtype in zip(data._fields, data, _box_reference(bound, rays), dtypes):
+            assert got.dtype == dtype, (bound, len(rays), name)
+            assert got.shape == want.shape and (got == want).all(), (bound, len(rays), name)
+            assert not got.flags.writeable, (bound, len(rays), name)
 
 
 def test_narrow_dtypes_switch_at_the_int8_boundary():
@@ -788,12 +828,14 @@ def test_narrow_dtypes_switch_at_the_int8_boundary():
 def test_sweep_memory_stays_within_a_budget_of_the_kernel_rows():
     # in bytes per class of the box: _box keeps every array narrow, the
     # kernel rows too, and a sweep holds float64 only for the rows a round
-    # steps and for chunk-sized products (with float64 kernel rows, _box
-    # held 38.0 and 37.4 B at bounds 4 and 5, and a V.2 sweep at bound 5
-    # peaked at 48.7 B)
+    # steps and for chunk-sized products.  _box holds 11.2 and 12.3 B at
+    # bounds 4 and 5, and a V.2 sweep at bound 5 peaks at 38.2 B; the
+    # budgets leave 5% and 7%.  (With the -K pre-filter alone _box held 13.9 B
+    # and the sweep peaked at 41.1 B, and with float64 kernel rows as well
+    # 38.0, 37.4 and 48.7 B.)
     for bound in (4, 5):
-        data = _box(bound)
-        assert sum(a.nbytes for a in data) <= 16 * data.box.shape[0], bound
+        data = _box(bound, _CHAMBER_RAYS)
+        assert sum(a.nbytes for a in data) <= 13 * data.box.shape[0], bound
     t = surface_type("V.2")
     sweep_box(t, bound=5)  # fills the support table outside the trace
     tracemalloc.start()
@@ -803,7 +845,7 @@ def test_sweep_memory_stays_within_a_budget_of_the_kernel_rows():
     finally:
         tracemalloc.stop()
     assert info["classes"] == 11**5
-    assert peak <= 44 * info["classes"], peak / info["classes"]
+    assert peak <= 41 * info["classes"], peak / info["classes"]
 
 
 def test_sweep_box_names_a_negative_h1_class_in_plain_ints(monkeypatch):
@@ -838,7 +880,7 @@ def test_float_range_check_compares_a_narrow_minimum_without_negating_it():
 
 
 def test_h0_rows_read_narrow_rows_as_their_float64_copy():
-    rows = _box(4).rows
+    rows = _box(4, (-K,)).rows  # a superset of the sweep's rows
     assert rows.dtype == np.int8
     for t in catalog():
         kern = _kernel(t)
@@ -848,7 +890,7 @@ def test_h0_rows_read_narrow_rows_as_their_float64_copy():
 def test_h0_rows_do_not_depend_on_the_chunk_size(monkeypatch):
     # a chunk of 7 rows splits the mask groups, gathers chunks on
     # scattered positions and mixes rows that grow with rows that step
-    rows = _box(3).rows
+    rows = _box(3, (-K,)).rows
     want = {t.label: _h0_rows(rows, _kernel(t)) for t in catalog()}
     monkeypatch.setattr(sweep, "_CHUNK", 7)
     for t in catalog():
@@ -874,16 +916,55 @@ def test_step_round_moves_a_row_only_once_its_support_stops_growing(monkeypatch)
             return kern.support(mask)
 
         proxy = SimpleNamespace(curves=kern.curves, label=kern.label, support=support)
-        real(cur, masks, proxy, rows, idx)
+        ended = real(cur, masks, proxy, rows, idx)
         for at, values in moved:
             assert (values == cur[at]).all(), kern.label
         seen.append(sum(at.size for at, _ in moved))
+        return ended
 
     monkeypatch.setattr(sweep, "_step_round", watched)
-    rows = _box(4).rows
+    rows = _box(4, (-K,)).rows
     for t in catalog():
         _h0_rows(rows, _kernel(t))
     assert max(seen) > 0  # rows stepped while later supports were still asked for
+
+
+def test_step_round_ends_exactly_the_rows_it_steps_on_a_unimodular_support(monkeypatch):
+    # on a support with det 1, N is integral and D - N meets every negative
+    # curve nonnegatively: the round ends those rows at a nef class, and
+    # only those
+    real = sweep._step_round
+    ended_rows = []
+
+    def watched(cur, masks, kern, rows, idx):
+        ended = real(cur, masks, kern, rows, idx)
+        assert ended.dtype == bool and ended.shape == masks.shape
+        # masks now holds the support each row stepped on
+        dets = {int(x): kern.support(int(x)).det for x in np.unique(masks)}
+        assert (ended == np.array([dets[int(x)] == 1 for x in masks], dtype=bool)).all()
+        tests = np.array([*zip(*kern.curve_ints, *kern.ray_ints)], dtype=np.float64)
+        bits = 2.0 ** np.arange(tests.shape[1])
+        assert not _round_codes(cur[ended], tests, bits).any(), kern.label
+        ended_rows.append(int(ended.sum()))
+        return ended
+
+    monkeypatch.setattr(sweep, "_step_round", watched)
+    rows = _box(4, (-K,)).rows
+    for t in catalog():
+        _h0_rows(rows, _kernel(t))
+    assert sum(ended_rows) > 0
+
+
+def test_scalar_rounds_end_where_they_did_before_the_unimodular_exit():
+    # (h^0, the class the rounds end at) of _h0 on the bound-3 box of every
+    # type, in catalog order, as the rounds gave them when a det-1 round
+    # still ran one more round to find its class nef
+    digest = hashlib.sha256()
+    for t in catalog():
+        for d in itertools.product(range(-3, 4), repeat=5):
+            h0, end = _h0(d, t)
+            digest.update(repr((h0, end.coeffs)).encode())
+    assert digest.hexdigest() == "c92c6f2ffbbf2cf6960544ac930a94f55dfde1c72117d658435450f27d73e290"
 
 
 def test_sweep_outputs_take_a_dtype_that_holds_their_range(monkeypatch):
@@ -892,8 +973,8 @@ def test_sweep_outputs_take_a_dtype_that_holds_their_range(monkeypatch):
     t = surface_type("IV.2")
     plain = sweep_box(t, bound=4, return_arrays=True)["arrays"]
     assert all(plain[h].dtype.itemsize < 8 for h in ("h0", "h1", "h2"))
-    data = _box(4)
-    d = int(np.flatnonzero(data.anti_k >= 0)[0])  # h^0(D) is read off this row
+    data = _box(4, _CHAMBER_RAYS)
+    d = int(np.flatnonzero(data.h0_mask)[0])  # h^0(D) is read off this row
     row = data.h0_at[0]
     real = sweep._h0_rows
 

@@ -1,9 +1,11 @@
-"""Checks on the package source: no assert statements, numpy imported by
-quintic.sweep alone, every ``__all__`` entry exists, and every name the
-benchmark tracer in perfbench/spans.py looks up still exists."""
+"""Checks on the package source: no assert statements, imports of the
+standard library, quintic and numpy alone, numpy by quintic.sweep alone,
+every ``__all__`` entry exists, and every name the benchmark tracer in
+perfbench/spans.py looks up still exists."""
 
 import ast
 import importlib
+import sys
 import types
 from pathlib import Path
 
@@ -25,20 +27,28 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name}: assert statements at lines {lines}"
 
 
+def _imported(node) -> list[str]:
+    """The top-level packages an import node names, quintic for a relative one."""
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[0] for a in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return ["quintic" if node.level else (node.module or "").split(".")[0]]
+    return []
+
+
 def test_only_the_sweep_module_imports_numpy():
     # the exact layer runs on Python integers; the batch rounds alone carry
-    # them in float64
-    def imports_numpy(node):
-        if isinstance(node, ast.Import):
-            return any(a.name.split(".")[0] == "numpy" for a in node.names)
-        return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
-
-    importers = [
-        p.name
+    # them in float64.  Every other import is the standard library or
+    # quintic itself: numpy is the one declared dependency, and packages that
+    # happen to be installed (sympy, scipy) must not be reached for
+    imports = {
+        p.name: {n for node in ast.walk(ast.parse(p.read_text())) for n in _imported(node)}
         for p in SOURCES
-        if any(map(imports_numpy, ast.walk(ast.parse(p.read_text(encoding="utf-8")))))
-    ]
-    assert importers == ["sweep.py"]
+    }
+    assert [name for name, found in imports.items() if "numpy" in found] == ["sweep.py"]
+    allowed = sys.stdlib_module_names | {"quintic", "numpy"}
+    foreign = {name: sorted(found - allowed) for name, found in imports.items() if found - allowed}
+    assert foreign == {}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
