@@ -80,19 +80,22 @@ integer matrices, which are the one definition of a round on S.  With D
 the row of its coefficients and b = (D.C) on S, det * N = adj(-M_S) (-b)
 is integral, and
 
-    D @ solve = (-det * N on S, det * (D - N).C on every curve),
+    D @ solve = (-det * N on S, det * (D - N).C on the curves outside S meeting S),
     -ceil(N) @ step = (the change of D, minus the drop of A.D),
 
-with -ceil(N) = floor(-det * N / det).  The columns of solve on the curves
-outside S are the growth test of step 3, and the last column of step is
-the drop check of (d).  If det = 1, N is integral, and D - N meets S in
-0 and, by the growth test, every other curve nonnegatively: it is nef,
-and both forms end there.  adj(-M_S) and det come from Bareiss's
-fraction-free elimination, then solve and step from integer products.
-Scalar h_all applies them to one class in Python integers; sweep_box
-applies float64 copies of them to rows of classes, grouping its open rows
-by support mask at every growth step.  Once the twelve bound-4 sweeps have
-run, the tables hold exactly the 532 nonempty Zariski chambers.
+with -ceil(N) = floor(-det * N / det).  The columns of solve after the
+first |S| are the growth test of step 3 (grow holds their mask bits), and
+the last column of step is the drop check of (d).  A curve C outside S is
+outside the first S of the round, so D.C >= 0, and if C meets no curve of
+S, (D - N).C = D.C: the test leaves out only such curves.  If det = 1, N
+is integral, and D - N meets S in 0, the tested curves nonnegatively and
+the others in D.C >= 0: it is nef, and both forms end there.  adj(-M_S)
+and det come from Bareiss's fraction-free elimination, then solve and
+step from integer products.  Scalar h_all applies them to one class in
+Python integers; sweep_box applies float64 copies of them to columns of
+classes, grouping them by support mask at every growth step.  Once the
+twelve bound-4 sweeps have run, the tables hold exactly the 532 nonempty
+Zariski chambers.
 
 The dominant-chamber pre-filter.  Both forms need h^0(D) and h^2(D) =
 h^0(K - D), and run the rounds on one of the two classes at most.  An
@@ -207,18 +210,21 @@ def negative_curves(t: SurfaceType) -> NegativeCurveSet:
 class _Support:
     """A negative definite support S: its curve indices, det(-M_S), the
     integer matrices solve and step of a round on S (module docstring,
-    support table) as tuples of their columns, and batch, their float64
-    copies, which quintic.sweep fills on first use."""
+    support table) as tuples of their columns, grow, the mask bits of the
+    curves outside S that meet S, which solve tests, and batch, float64
+    copies of the three, which quintic.sweep fills on first use."""
 
-    __slots__ = ("idx", "det", "solve", "step", "batch")
+    __slots__ = ("idx", "det", "solve", "step", "grow", "batch")
 
     def __init__(self, kern: "_Kernel", idx: list[int], adj, det: int):
         self.idx = idx
         self.det = det
         neg_n = [_combine(row, [kern.curve_ints[i] for i in idx]) for row in adj]
+        near = [j for j, g in enumerate(kern.gram) if j not in idx and max(g[i] for i in idx) > 0]
+        self.grow = tuple(1 << j for j in near)
         grow = (
-            _combine((det, *(kern.gram[i][j] for i in idx)), (col, *neg_n))
-            for j, col in enumerate(kern.curve_ints)
+            _combine((det, *(kern.gram[i][j] for i in idx)), (kern.curve_ints[j], *neg_n))
+            for j in near
         )
         self.solve = (*neg_n, *grow)
         self.step = tuple(zip(*(kern.curves[i].coeffs + (kern.measure[i],) for i in idx)))
@@ -393,11 +399,10 @@ def _h0(coeffs: tuple[int, ...], t: SurfaceType) -> tuple[int, DivClass]:
             prod = [
                 a * x + b1 * y1 + b2 * y2 + b3 * y3 + b4 * y4 for x, y1, y2, y3, y4 in sup.solve
             ]
-            grown, bit = mask, 1
-            for x in prod[s:]:
+            grown = mask
+            for x, bit in zip(prod[s:], sup.grow):
                 if x < 0:
                     grown |= bit
-                bit <<= 1
             if grown == mask:
                 break
             mask = grown

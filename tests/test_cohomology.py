@@ -3,7 +3,7 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
 from types import SimpleNamespace
 from unittest import mock
 
@@ -564,7 +564,8 @@ def test_support_tables_after_bound_4_sweeps_are_the_zariski_chambers():
 
 def test_support_batch_copies_equal_the_integer_columns():
     # a support holds Python integers; quintic.sweep makes its float64
-    # copies on first use and keeps them
+    # copies on first use and keeps them, each column of solve and step a
+    # row of its copy
     for t in catalog():
         kern = _Kernel(t)
         m = len(kern.curves)
@@ -574,10 +575,86 @@ def test_support_batch_copies_equal_the_integer_columns():
             sup = kern.support(mask)
             assert sup.batch is None
             assert all(type(x) is int for cols in (sup.solve, sup.step) for c in cols for x in c)
+            assert all(type(x) is int for x in sup.grow)
             assert _batch(sup) is sup.batch is _batch(sup)
-            for copy, cols in zip(sup.batch, (sup.solve, sup.step)):
+            for copy in sup.batch:
                 assert copy.dtype == np.float64 and copy.flags.c_contiguous
-                assert copy.tolist() == [list(row) for row in zip(*cols)], (t.label, mask)
+            solve, step, grow = sup.batch
+            assert solve.tolist() == [list(col) for col in sup.solve], (t.label, mask)
+            assert step.tolist() == [list(col) for col in sup.step], (t.label, mask)
+            assert grow.tolist() == list(sup.grow), (t.label, mask)
+
+
+def test_support_growth_columns_test_exactly_the_curves_that_meet_s():
+    # distinct curves meet nonnegatively, so C.S > 0 says C meets a curve of S
+    for t in catalog():
+        kern = _Kernel(t)
+        m = len(kern.curves)
+        for mask in range(1, 1 << m):
+            idx = [i for i in range(m) if mask >> i & 1]
+            if _solve_support(kern.gram, idx) is None:
+                continue
+            sup = kern.support(mask)
+            near = [j for j in range(m) if j not in idx and sum(kern.gram[i][j] for i in idx) > 0]
+            assert sup.grow == tuple(1 << j for j in near), (t.label, mask)
+            assert len(sup.solve) == len(idx) + len(near), (t.label, mask)
+
+
+def _rounds_testing_every_curve(coeffs, t):
+    """The rounds of the module docstring in Fractions, with the growth test
+    of step 3 on every negative curve, and the det-1 exit: the masks of the
+    supports they solve on, in order, and the class they end at."""
+    kern = _kernel(t)
+    curves, gram = kern.curves, kern.gram
+    d, masks = DivClass(coeffs), []
+    while all(d.dot(p) >= 0 for p in kern.rays):
+        mask = sum(1 << i for i, c in enumerate(curves) if d.dot(c) < 0)
+        if not mask:
+            break
+        while True:
+            masks.append(mask)
+            idx = [i for i in range(len(curves)) if mask >> i & 1]
+            adj, det = _solve_support(gram, idx)
+            # N = sum x_i C_i meets S as D does: M_S x = b, x = -adj(-M_S) b / det
+            b = [d.dot(curves[i]) for i in idx]
+            x = [Fraction(-sum(u * v for u, v in zip(row, b)), det) for row in adj]
+            grown = mask
+            for j, c in enumerate(curves):
+                if d.dot(c) - sum(xi * gram[i][j] for xi, i in zip(x, idx)) < 0:
+                    grown |= 1 << j
+            if grown == mask:
+                break
+            mask = grown
+        d = d - sum((ceil(xi) * curves[i] for xi, i in zip(x, idx)), ZERO)
+        if det == 1:
+            break
+    return masks, d
+
+
+@pytest.mark.parametrize("label", [t.label for t in catalog()])
+@settings(deadline=None)
+@given(coeffs=st.tuples(*[st.integers(-64, 64)] * 5))
+@example(coeffs=(64, -64, -64, -64, -64))
+@example(coeffs=(-64, 64, 64, 64, 64))
+@example(coeffs=(3, -1, -4, 0, 0))
+def test_rounds_ask_for_the_supports_of_a_growth_test_on_every_curve(label, coeffs):
+    # the growth columns leave out the curves that do not meet S, which
+    # meet D - N as they meet D, nonnegatively; so _h0 solves on the same
+    # supports, in the same order, as rounds that test every curve, on D
+    # and on K - D, the two sides h_all may take
+    t = surface_type(label)
+    kern = _kernel(t)
+    asked = []
+
+    def support(mask):
+        asked.append(mask)
+        return _Kernel.support(kern, mask)
+
+    for side in (coeffs, (K - DivClass(coeffs)).coeffs):
+        asked.clear()
+        with mock.patch.object(kern, "support", support):
+            end = _h0(side, t)[1]
+        assert (asked, end) == _rounds_testing_every_curve(side, t), side
 
 
 @pytest.mark.parametrize("label", [t.label for t in catalog()])
@@ -605,7 +682,7 @@ def test_batch_and_scalar_divergence_errors_name_the_starting_class():
     assert _h0_rows(rows, kern).tolist() == [1, _h0(start, t)[0]]
     assert kern._table
     for sup in kern._table.values():
-        sup.batch[1][:, 5] = 0
+        sup.batch[1][5] = 0
         sup.step = (*sup.step[:5], (0,) * len(sup.idx))
     message = r"did not lower A\.D at \(3, -1, -4, 0, 0\) on II\.1$"
     with pytest.raises(ReductionDivergenceError, match=message):
@@ -827,12 +904,13 @@ def test_narrow_dtypes_switch_at_the_int8_boundary():
 
 def test_sweep_memory_stays_within_a_budget_of_the_kernel_rows():
     # in bytes per class of the box: _box keeps every array narrow, the
-    # kernel rows too, and a sweep holds float64 only for the rows a round
-    # steps and for chunk-sized products.  _box holds 11.2 and 12.3 B at
-    # bounds 4 and 5, and a V.2 sweep at bound 5 peaks at 38.2 B; the
-    # budgets leave 5% and 7%.  (With the -K pre-filter alone _box held 13.9 B
-    # and the sweep peaked at 41.1 B, and with float64 kernel rows as well
-    # 38.0, 37.4 and 48.7 B.)
+    # kernel rows too, and a sweep holds float64 only for the classes a
+    # round steps and for chunk-sized products.  _box holds 11.2 and 12.3 B
+    # at bounds 4 and 5, and a V.2 sweep at bound 5 peaks at 36.5 B; the
+    # budgets leave 5% and 4%.  (The row-major kernel, which tested growth
+    # on every curve, peaked at 38.2 B; with the -K pre-filter alone _box
+    # held 13.9 B and the sweep peaked at 41.1 B, and with float64 kernel
+    # rows as well 38.0, 37.4 and 48.7 B.)
     for bound in (4, 5):
         data = _box(bound, _CHAMBER_RAYS)
         assert sum(a.nbytes for a in data) <= 13 * data.box.shape[0], bound
@@ -845,7 +923,7 @@ def test_sweep_memory_stays_within_a_budget_of_the_kernel_rows():
     finally:
         tracemalloc.stop()
     assert info["classes"] == 11**5
-    assert peak <= 41 * info["classes"], peak / info["classes"]
+    assert peak <= 38 * info["classes"], peak / info["classes"]
 
 
 def test_sweep_box_names_a_negative_h1_class_in_plain_ints(monkeypatch):
@@ -863,18 +941,18 @@ def test_sweep_box_names_a_negative_h1_class_in_plain_ints(monkeypatch):
 def test_chi_rows_widen_narrow_columns_before_they_multiply():
     # int8 squares wrap under NEP 50: 127 * 127 reads 1
     rows = np.array(list(itertools.product((-128, -127, 127), repeat=5)), dtype=np.int8)
-    got = _chi_rows(rows, np.arange(rows.shape[0])).tolist()
+    got = _chi_rows(rows.T, np.arange(rows.shape[0])).tolist()
     assert got == [chi_line(DivClass(tuple(r))) for r in rows.tolist()]
 
 
 def test_float_range_check_compares_a_narrow_minimum_without_negating_it():
     # -(-128) wraps in int8, with an overflow warning that tier-1 makes an error
     kern = _kernel(surface_type("V.2"))
-    rows = np.zeros((2, 5), dtype=np.int8)
-    rows[1, 3] = -128
-    _check_float_range(rows, kern)
-    wide = np.zeros((2, 5), dtype=np.int32)
-    wide[1, 3] = np.iinfo(np.int32).min
+    cols = np.zeros((5, 2), dtype=np.int8)
+    cols[3, 1] = -128
+    _check_float_range(cols, kern)
+    wide = np.zeros((5, 2), dtype=np.int32)
+    wide[3, 1] = np.iinfo(np.int32).min
     with pytest.raises(FloatRangeError, match=r"^row \(0, 0, 0, -2147483648, 0\) on V\.2"):
         _check_float_range(wide, kern)
 
@@ -911,14 +989,14 @@ def test_step_round_moves_a_row_only_once_its_support_stops_growing(monkeypatch)
         start, moved = cur.copy(), []
 
         def support(mask):
-            at = np.flatnonzero((cur != start).any(axis=1))
-            moved.append((at, cur[at]))
+            at = np.flatnonzero((cur != start).any(axis=0))
+            moved.append((at, cur[:, at]))
             return kern.support(mask)
 
         proxy = SimpleNamespace(curves=kern.curves, label=kern.label, support=support)
         ended = real(cur, masks, proxy, rows, idx)
         for at, values in moved:
-            assert (values == cur[at]).all(), kern.label
+            assert (values == cur[:, at]).all(), kern.label
         seen.append(sum(at.size for at, _ in moved))
         return ended
 
@@ -942,9 +1020,9 @@ def test_step_round_ends_exactly_the_rows_it_steps_on_a_unimodular_support(monke
         # masks now holds the support each row stepped on
         dets = {int(x): kern.support(int(x)).det for x in np.unique(masks)}
         assert (ended == np.array([dets[int(x)] == 1 for x in masks], dtype=bool)).all()
-        tests = np.array([*zip(*kern.curve_ints, *kern.ray_ints)], dtype=np.float64)
-        bits = 2.0 ** np.arange(tests.shape[1])
-        assert not _round_codes(cur[ended], tests, bits).any(), kern.label
+        tests = np.array([*kern.curve_ints, *kern.ray_ints], dtype=np.float64)
+        bits = 2.0 ** np.arange(tests.shape[0])
+        assert not _round_codes(cur[:, ended], tests, bits).any(), kern.label
         ended_rows.append(int(ended.sum()))
         return ended
 
@@ -965,6 +1043,21 @@ def test_scalar_rounds_end_where_they_did_before_the_unimodular_exit():
             h0, end = _h0(d, t)
             digest.update(repr((h0, end.coeffs)).encode())
     assert digest.hexdigest() == "c92c6f2ffbbf2cf6960544ac930a94f55dfde1c72117d658435450f27d73e290"
+
+
+def test_sweep_outputs_are_those_of_the_row_major_kernel():
+    # the dtype, shape and bytes of h0, h1 and h2 of sweep_box on every type
+    # at bounds 0 to 5, as the kernel gave them when it stepped rows of
+    # (n, 5) arrays and tested growth on every curve
+    digest = hashlib.sha256()
+    for bound in range(6):
+        for t in catalog():
+            arr = sweep_box(t, bound=bound, return_arrays=True)["arrays"]
+            for key in ("h0", "h1", "h2"):
+                a = arr[key]
+                digest.update(repr((t.label, bound, key, a.dtype.str, a.shape)).encode())
+                digest.update(a.tobytes())
+    assert digest.hexdigest() == "a84e4a6f69488ccaa552b4504b79d2c658aa5c6a67091d3314d67c075914e392"
 
 
 def test_sweep_outputs_take_a_dtype_that_holds_their_range(monkeypatch):
