@@ -91,14 +91,14 @@ S, (D - N).C = D.C: the test leaves out only such curves.  If det = 1, N
 is integral, and D - N meets S in 0, the tested curves nonnegatively and
 the others in D.C >= 0: it is nef, and both forms end there.  adj(-M_S)
 and det come from Bareiss's fraction-free elimination, then solve and
-step from integer products.  Scalar h_all applies them to one class in
-Python integers; sweep_box applies float64 copies of them to columns of
-classes, grouping them by support mask at every growth step.  Once the
-twelve bound-4 sweeps have run, the tables hold exactly the 532 nonempty
-Zariski chambers.
+step from integer products.  The table serves the scalar rounds of h_all
+alone, which apply it to one class in Python integers; sweep_box needs no
+support (quintic.sweep).  Scalar h^0 on the kernel rows of the twelve
+bound-4 sweeps fills the tables with exactly the 532 nonempty Zariski
+chambers.
 
 The dominant-chamber pre-filter.  Both forms need h^0(D) and h^2(D) =
-h^0(K - D), and run the rounds on one of the two classes at most.  An
+h^0(K - D), and compute h^0 of one of the two classes at most.  An
 effective class meets a nef class P nonnegatively, so X.P < 0 gives
 h^0(X) = 0, and skipping the rounds of X changes no answer.  -K is nef:
 -K.C = C^2 + 2 by adjunction, and each kernel checks -K.C >= 0.  Since
@@ -110,12 +110,14 @@ the rays of the dominant Weyl chamber {D : D.r >= 0 on the simple roots
 r, D.e4 >= 0}, h, h - e1, 2h - e1 - e2, 3h - e1 - e2 - e3 and -K, that
 its kernel checks nef on its curves: all five on the twelve types, not
 h - e1 on a type with the (-2)-curve e2 - e1.  So the twelve types share
-the box, chi and the rows of a bound, and the batch rounds run only on
+the box, chi and the rows of a bound, and sweep_box computes h^0 only on
 the D and the K - D that meet every kept ray nonnegatively, each once
 (0.438 and 0.432 of the box size at bounds 4 and 5, against twice it).
 
-The batch rounds, in quintic.sweep, carry integers in float64; its
-docstring proves them exact and accounts for their memory.
+sweep_box computes h^0 on these rows without rounds: quintic.sweep steps
+each row down by one fixed component at a time, and its docstring proves
+the walk and accounts for its memory.  It shares with the rounds only the
+curves and the rays, so the two forms are independent derivations.
 """
 
 from __future__ import annotations
@@ -135,8 +137,6 @@ __all__ = [
     "NegativeCurveSet",
     "ReductionDivergenceError",
     "CohomologyConsistencyError",
-    "FloatRangeError",
-    "FLOAT_EXACT_LIMIT",
     "CannotConcludeError",
     "negative_curves",
     "h_all",
@@ -148,17 +148,9 @@ __all__ = [
 ]
 
 
-# the bound on the coefficients of an open batch row that keeps the
-# float64 arithmetic of the batch rounds exact (quintic.sweep)
-FLOAT_EXACT_LIMIT = 2**25
-
 _ANTI_K = -K
 # D @ (signs * C.coeffs) = D.C
 _SIGNS = (1, -1, -1, -1, -1)
-
-
-class FloatRangeError(ArithmeticError):
-    """A batch row exceeds FLOAT_EXACT_LIMIT, past which float64 may round."""
 
 
 class ReductionDivergenceError(RuntimeError):
@@ -210,11 +202,10 @@ def negative_curves(t: SurfaceType) -> NegativeCurveSet:
 class _Support:
     """A negative definite support S: its curve indices, det(-M_S), the
     integer matrices solve and step of a round on S (module docstring,
-    support table) as tuples of their columns, grow, the mask bits of the
-    curves outside S that meet S, which solve tests, and batch, float64
-    copies of the three, which quintic.sweep fills on first use."""
+    support table) as tuples of their columns, and grow, the mask bits of
+    the curves outside S that meet S, which solve tests."""
 
-    __slots__ = ("idx", "det", "solve", "step", "grow", "batch")
+    __slots__ = ("idx", "det", "solve", "step", "grow")
 
     def __init__(self, kern: "_Kernel", idx: list[int], adj, det: int):
         self.idx = idx
@@ -228,7 +219,6 @@ class _Support:
         )
         self.solve = (*neg_n, *grow)
         self.step = tuple(zip(*(kern.curves[i].coeffs + (kern.measure[i],) for i in idx)))
-        self.batch = None
 
 
 def _combine(weights: Sequence[int], vectors: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -315,16 +305,15 @@ _CHAMBER_RAYS = _nef_rays([tuple(map(mul, _SIGNS, r.coeffs)) for r in (*simple_r
 
 
 class _Kernel:
-    """Per-type data of the Zariski rounds, shared by the scalar and batch
-    forms: the negative curves, the extremal rays of the nef cone (step 1),
-    their sum A (the measure class of (d)), the support table of the
-    Zariski chambers and the prefilter of sweep_box (module docstring)."""
+    """Per-type data of h^0: the negative curves, the extremal rays of the
+    nef cone (step 1), their sum A (the measure class of (d)) and the
+    prefilter of sweep_box, which both forms read, and the support table of
+    the Zariski chambers, which only the scalar rounds read (module
+    docstring)."""
 
     def __init__(self, t: SurfaceType):
-        nc = negative_curves(t)
         self.label = t.label
-        self.curves = nc.all
-        m = len(self.curves)
+        self.curves = negative_curves(t).all
         self.gram = tuple(tuple(c.dot(e) for e in self.curves) for c in self.curves)
         self._table: dict[int, _Support] = {}
         # the -K pre-filter of h_all and sweep_box rests on -K being nef
@@ -345,20 +334,6 @@ class _Kernel:
         self.measure = tuple(measure.dot(c) for c in self.curves)
         if min(self.measure) <= 0:
             raise CohomologyConsistencyError(f"{t.label}: measure class not positive on curves")
-        # the float64 carrier bound of quintic.sweep
-        c = max(abs(x) for cur in self.curves for x in cur.coeffs)
-        g = max(abs(x) for row in self.gram for x in row)
-        alpha = 2 ** len(nc.minus_two)
-        p = 5 * c * m * alpha
-        factor = max(
-            *(sum(map(abs, ray.coeffs)) for ray in self.rays),
-            5 * c * alpha * (1 + g * m * m),
-            1 + m * p * max(c, *self.measure),
-        )
-        if factor * FLOAT_EXACT_LIMIT >= 2**53:
-            raise CohomologyConsistencyError(
-                f"{t.label}: float64 carrier bound {factor} * FLOAT_EXACT_LIMIT reaches 2^53"
-            )
 
     def support(self, mask: int) -> _Support:
         if mask not in self._table:
@@ -523,7 +498,8 @@ def r1_chain_vanishing(p: ChainProblem) -> ChainCertificate:
 
 def sweep_box(t: SurfaceType, bound: int = 4, return_arrays: bool = False) -> dict:
     """h_all on every class with |coefficients| <= bound, with consistency
-    checks (h^1 >= 0, parity of chi, the drop of A.D) built in."""
+    checks (h^1 >= 0, parity of chi, every step of the walk landing on a
+    row, the cap on its pointer jumping) built in."""
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
         raise ValueError(f"sweep bound must be an int >= 0, not {bound!r}")
     from .sweep import run  # the first call loads quintic.sweep and numpy

@@ -107,9 +107,9 @@ def _sweep_consistent(info: dict, t, seed: int) -> bool:
     0 and 1, where the check fails).  sweep_box solves each class once, so
     both sides of the duality read one kernel row: that conjunct checks the
     maps h0_at and h2_at of _box against the flip of the grid.  The scalar
-    rows check the batch rounds themselves.  Riemann-Roch and h^1 >= 0 need
-    no check: sweep_box defines h^1 as h^0 + h^2 - chi and raises on a
-    negative one."""
+    rows check the walk itself.  Riemann-Roch and h^1 >= 0 need no check:
+    sweep_box defines h^1 as h^0 + h^2 - chi and raises on a negative
+    one."""
     arr = info["arrays"]
     b = info["bound"]
     corner = tuple(slice(0, max(0, 2 * b + k + 1)) for k in K.coeffs)

@@ -1,224 +1,164 @@
-"""The batch Zariski rounds of cohomology.sweep_box, the one module that
-imports numpy.  The rounds and the support table are those of
-quintic.cohomology, applied as float64 copies of the kernel's integer
-tables (_batch, and the tests of _h0_rows) to the columns of 5 x n arrays,
-one class per column, so that numpy loops over n, not over 5: _box stores
-the kernel rows so that rows.T is C-contiguous, the products read
-tests @ cols, solve @ block and step @ floor(N), and gathers take along
-axis 1.  Sign tests pack into codes as -(bits @ clip(x, -1, 0)): the
-degrees x are integers, so the clip marks the negative ones by -1.
+"""h^0 on a box of classes by fixed components, behind
+cohomology.sweep_box; the one module that imports numpy.
 
-Float64 carrier.  The batch form runs every product in float64, used only
-to carry integers, and keeps in float64 only the rows that a round steps;
-its input rows and its other arrays are integers, and promoting an integer
-below 2^53 to float64 is exact.  A sum of integer products is computed
-exactly, in whatever order BLAS adds, when the absolute values of its
-terms add up to less than 2^53.  Let X bound the absolute coefficients of
-the open rows at the start of a round; each round checks
-X <= FLOAT_EXACT_LIMIT = 2^25 and raises FloatRangeError otherwise.  Let m
-be the number of curves, r the number of (-2)-curves, k the number of nef
-rays, c the largest absolute curve coefficient and g the largest |C.C'|.
--M_S is positive definite with diagonal entries 2 and 1, so by Hadamard's
-inequality its determinant and its principal minors are at most 2^r;
-adj(-M_S) is positive definite too, so every |adj_ij| is at most 2^r.  A
-round computes, per class, its degrees on the curves and the rays, then
-on S D @ solve, -ceil(N) = floor(x / det) with x = -det * N, and
--ceil(N) @ step, on the float64 copies of the two integer matrices of the
-support table.  The layout transposes operands, not the sum behind an
-entry, and F is a maximum over every curve, so trimmed growth tests keep
-it: with p = 5 c m 2^r the terms add up to at most X * F, where
+The lemma (Zariski, Ann. Math. 76, 1962).  Let C be an irreducible curve
+and D a class with D.C < 0.  An effective E in |D| is aC + E' with C not
+in E', and E'.C >= 0, so E.C < 0 forces a >= 1: C is a fixed component
+of |D|, and multiplying by the equation of C identifies the sections of
+O(D - C) with those of O(D).  That multiplication is injective, so if |D|
+is empty, h^0(D - C) <= h^0(D) = 0.  Either way h^0(D) = h^0(D - C).
 
-    F = max(max_j |P_j|_1, 5 c 2^r (1 + g m^2), 1 + m p max(c, A.C))
+The walk.  _h0_rows gives each kernel row D a sign code (_sign_codes):
+bit i set iff D.C_i < 0, over the curves of negative_curves(t).all, and
+2^m for each nef ray P with D.P < 0.  A code of 0 makes D nef, with
+h^0 = max(chi, 0); a code of at least 2^m ends at a ray, with h^0 = 0
+(quintic.cohomology, (e)).  Any other row points at the row of D - C, C
+its first negative curve, the lowest set bit of its code, and by the
+lemma has the h^0 of that row.  _jump follows every pointer to the end of
+its chain, a row of the first two kinds, whose h^0 the whole chain takes.
+No support, solve or round is involved: the walk shares only the curves
+and the rays with the scalar rounds of h_all, so the two derive h^0
+independently.
 
-(max_j |P_j|_1 is at most 10, on III.2), the numerator D^2 - D.K of the
-Euler characteristic adds up to at most 5 X (X + 3), and the codes,
-weight 2^i on curve i and 2^m on each ray on clipped entries, stay below
-2^m (k + 1) in absolute value.  Each kernel checks F * 2^25 < 2^53 (F is at
-most 5761 on the twelve types, whose tables have det <= 6, |adj| <= 6,
-g <= 2 and c = 1), and 5 * 2^25 * (2^25 + 3) < 2^53.  So every value is
-an exact integer.
+Termination.  A, the sum of the rays, has A.C >= 1 on every negative
+curve, which each kernel checks.  A row that points passes every ray, so
+A.D >= 0, and A.(D - C) <= A.D - 1: A.D falls along every chain, no row
+repeats, and a chain of n rows has fewer than n steps.  Each pass of
+_jump doubles the steps every pointer has taken, so n.bit_length()
+passes end every chain; one still moving after them raises
+CohomologyConsistencyError.  Chains take up to 60 steps at bound 5 and 90
+at bound 8, and end after 6 and 7 passes.
 
-The floor of the float quotient is exact too.  IEEE division is correctly
-rounded, so the computed quotient of integers x and det >= 1 is q = x/det
-rounded to nearest, with error at most |x/det| * 2^-53.  If det divides x,
-x/det is an integer below 2^53 and q equals it.  Otherwise x/det = n + f
-with n = floor(x/det) and 1/det <= f <= 1 - 1/det; for |x| < 2^53 the error
-is below 1/det, so n < q < n + 1 and floor(q) = n.
+Closure.  The rows are sorted by their codes in a grid that holds every
+row with a margin of _PAD = 1 on each side of each axis.  No negative
+curve has a coefficient beyond 1 in absolute value (_h0_rows checks it),
+so D - C lies in that grid, its code is code(D) - C @ strides, and equal
+codes are equal classes.  That D - C is a row at all, inside the box or
+K - box and past the pre-filter, is not proved: _h0_rows looks up every
+target, and a miss raises CohomologyConsistencyError naming the row, the
+curve and the type.  Measured on the twelve types: none of the 10,656,975
+rows that point at bounds 0-8 misses.  The order of the curves matters.
+Stepping by any negative curve of D instead of the first, 37 of the
+1,457,367 steps at bound 5 leave the rows, each by a (-2)-curve that is
+not the first, while no (-1)-curve step does; so a proof would have to
+use the order, in which the (-2)-curves come first.
 
-Memory.  Only the classes that a round steps and the products are float64;
-the kernel keeps one copy of its open classes, and the rest is narrow.
-_box holds the box, chi and the kernel rows in the narrowest signed dtype
-that holds their values on the box, chosen from the bound so that none
-wraps (under NEP 50, int8 + 3 stays int8 and wraps silently), and the
-pre-filter's masks as bools.  The kernel rows are points of the grid that
-holds both the box and K - box, which runs from its corner to bound on
-every axis.  chi and each D.P are sums of one term per coefficient (for
-chi half of sign_j d_j (d_j - k_j), an integer as every k_j is odd), so
-their extremes over the box, and over each partial sum, are sums of
-per-coefficient extremes, and _on_grid adds the terms one axis at a time,
-by broadcasting into an array of that dtype.  Up to bound 6 all are int8.
-Arithmetic that can leave that range runs wider: the grid codes of D and
-K - D in the dtype of their own range (int32 at bound 5), and chi and h^0
-in int64 (int8 squares wrap).  h0_at, h2_at and the kernel's class index
-take the narrowest dtype that holds the row count, and the returned h0,
-h1 and h2 the narrowest that holds h^1 = h^0 + h^2 - chi, in
-[-max chi, 2 max h^0 - min chi].  The float64 arrays and chi are chunked
-as _round_codes, _chi_rows, _h0_rows and _step_round describe.  Under
-tracemalloc, at bound 5, _box holds 1.9 MiB (12.3 bytes per class of the
-box), a warm sweep on V.2 peaks 5.6 MiB (36.5 bytes per class) above it,
-and twelve sweeps peak at 7.5 MiB with _box.
+Degrees.  The only products are the degrees of the rows on the curves and
+the rays, tests @ cols, and the codes, bits @ (degrees < 0), both in
+float32, which carries integers below 2^24 exactly: a sum of integer
+terms whose absolute values add up to less than 2^24 comes out exact in
+any order of summation.  Row coefficients lie in [-bound - 3, bound], and
+the curve and ray functionals have coefficients of at most 4 in absolute
+value (|P|_1 <= 10 on the twelve types), so |D.P| <= 20 (bound + 3):
+exact below bound 838,000, far past any box that fits in memory, with
+(2 bound + 1)^5 classes.  A code is below 2^m (k + 1) <= 2^14.
+
+Memory.  _box holds the box, chi and the kernel rows in the narrowest
+signed dtype that holds their values on the box, chosen from the bound so
+that none wraps (under NEP 50, int8 + 3 stays int8 and wraps silently),
+and the pre-filter's masks as bools.  The kernel rows are points of the
+grid that holds both the box and K - box, which runs from its corner to
+bound on every axis.  chi and each D.P are sums of one term per
+coefficient (for chi half of sign_j d_j (d_j - k_j), an integer as every
+k_j is odd), so their extremes over the box, and over each partial sum,
+are sums of per-coefficient extremes, and _on_grid adds the terms one
+axis at a time, by broadcasting into an array of that dtype.  Up to bound
+6 all are int8.  The grid codes take the dtype of their own range (int32
+at bound 5), and so do the rows' codes in the padded grid; each row's
+chi, scattered from the box's since chi(K - D) = chi(D), and its h^0
+keep chi's dtype.  h0_at and h2_at take the narrowest dtype that holds
+the row count, and the returned h0, h1 and h2 the narrowest that holds
+h^1 = h^0 + h^2 - chi, in [-max chi, 2 max h^0 - min chi].  The float32
+degrees are built _CHUNK rows at a time.  Under tracemalloc, at bound 5,
+_box holds 2.2 MiB (14.5 bytes per class of the box), a warm sweep on
+V.2 peaks 1.8 MiB (11.7 bytes per class) above it, and twelve sweeps
+peak at 4.6 MiB with _box.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
 
-from .cohomology import _SIGNS, FLOAT_EXACT_LIMIT, CohomologyConsistencyError, FloatRangeError
-from .cohomology import ReductionDivergenceError, _Kernel, _Support
+from .cohomology import _SIGNS, CohomologyConsistencyError, _Kernel
 from .lattice import K, DivClass
-
-
-def _batch(sup: _Support) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sup.solve and sup.step, each column a row, and sup.grow as float64
-    arrays, kept in sup.batch."""
-    if sup.batch is None:
-        sup.batch = tuple(np.array(x, dtype=np.float64) for x in (sup.solve, sup.step, sup.grow))
-    return sup.batch
-
 
 _CHUNK = 8192
 
-
-def _chi_rows(cols: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """chi = (D^2 - D.K)/2 + 1 of the columns at of a 5 x n array of
-    integers, narrow or float64, _CHUNK columns at a time, each coefficient
-    widened to int64 before it is multiplied, since int8 squares wrap."""
-    chi = np.empty(at.size, dtype=np.int64)
-    for lo in range(0, at.size, _CHUNK):
-        part = cols.take(at[lo : lo + _CHUNK], axis=1)
-        num = np.zeros(part.shape[1], dtype=np.int64)
-        for coeff, sign, k in zip(part, _SIGNS, K.coeffs):
-            coeff = coeff.astype(np.int64)
-            num += sign * coeff * (coeff - k)
-        odd = np.flatnonzero(num & 1)
-        if odd.size:
-            bad = tuple(int(x) for x in part[:, odd[0]])
-            raise CohomologyConsistencyError(f"parity violation in chi at {bad}")
-        chi[lo : lo + _CHUNK] = (num >> 1) + 1
-    return chi
+# the margin of the code grid on every side of the rows: the largest
+# |coefficient| of a negative curve (module docstring, closure)
+_PAD = 1
 
 
-def _check_float_range(cols: np.ndarray, kern: _Kernel) -> None:
-    # compared with both limits, not negated: -(-128) wraps in int8
-    if cols.size and (cols.max() > FLOAT_EXACT_LIMIT or cols.min() < -FLOAT_EXACT_LIMIT):
-        bad = cols[:, ((cols > FLOAT_EXACT_LIMIT) | (cols < -FLOAT_EXACT_LIMIT)).any(axis=0)][:, 0]
-        raise FloatRangeError(
-            f"row {tuple(int(x) for x in bad)} on {kern.label} has a coefficient "
-            f"beyond the float64-exact limit FLOAT_EXACT_LIMIT = {FLOAT_EXACT_LIMIT}"
-        )
-
-
-def _round_codes(cols: np.ndarray, tests: np.ndarray, bits: np.ndarray) -> np.ndarray:
+def _sign_codes(cols: np.ndarray, tests: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """tests @ cols holds the degrees of each class on the m curves, then on
     the rays, and bits weighs a negative degree 2^i on curve i and 2^m on a
     ray: so bit i of a class's code is set iff D.C_i < 0, and the code is at
-    least 2^m iff step 1 of a round ends the class.  Built _CHUNK columns
-    at a time, promoted to float64, so that the temporaries stay small."""
+    least 2^m iff D meets a ray negatively.  Built _CHUNK columns at a time
+    in the dtype of tests and bits, float32 (module docstring, degrees), so
+    that the temporaries stay small."""
     codes = np.empty(cols.shape[1], dtype=np.min_scalar_type(int(bits.sum())))
     for lo in range(0, cols.shape[1], _CHUNK):
-        deg = tests @ cols[:, lo : lo + _CHUNK].astype(np.float64, copy=False)
-        codes[lo : lo + _CHUNK] = -bits @ np.clip(deg, -1, 0, out=deg)
+        deg = tests @ cols[:, lo : lo + _CHUNK].astype(tests.dtype)
+        codes[lo : lo + _CHUNK] = bits @ np.less(deg, 0, out=deg)
     return codes
 
 
-def _h0_rows(rows: np.ndarray, kern: _Kernel) -> np.ndarray:
-    """h^0 of every row of an n x 5 array of integer coefficients, narrow
-    or float64, by the rounds of cohomology._h0 on the columns of rows.T.
-    Only the classes that end at a nef class are written, every other
-    ending has h^0 = 0.  Each round takes its open classes, sorted by
-    support mask, into one new float64 array (take gathers several times
-    faster than fancy indexing), where _step_round steps them in place."""
+def _jump(ptr: np.ndarray, label: str) -> np.ndarray:
+    """Every pointer of ptr followed to its end, a row that points at
+    itself, by pointer jumping: each pass replaces ptr by ptr[ptr], which
+    doubles the steps each pointer has taken.  A chain of rows without a
+    cycle has fewer than ptr.size steps, so ptr.size.bit_length() passes
+    end it; a pointer that has not reached an end after them raises.  (A
+    pointer on a cycle can come back to its own row, so the test is
+    against the ends, not against ptr[ptr] == ptr.)"""
+    end = ptr == np.arange(ptr.size)
+    for _ in range(ptr.size.bit_length() + 1):
+        if end.take(ptr).all():
+            return ptr
+        ptr = ptr.take(ptr)
+    raise CohomologyConsistencyError(
+        f"pointer jumping on {label} did not end within {ptr.size.bit_length()} passes"
+    )
+
+
+def _h0_rows(data: _BoxData, kern: _Kernel) -> np.ndarray:
+    """h^0 of every kernel row of data on the type of kern, in the dtype of
+    the rows' chi, by the walk of the module docstring: one sign code per
+    row, a pointer from each row to the row of its step, found by code,
+    and _jump to the end of every chain."""
+    if max(abs(x) for c in kern.curves for x in c.coeffs) > _PAD:
+        raise CohomologyConsistencyError(f"{kern.label}: a curve leaves the margin of the codes")
+    rows, codes = data.rows, data.codes
     m, k = len(kern.curve_ints), len(kern.ray_ints)
-    tests = np.array([*kern.curve_ints, *kern.ray_ints], dtype=np.float64)
-    bits = np.minimum(2.0 ** np.arange(m + k), 2.0**m)
-    h0 = np.zeros(rows.shape[0], dtype=np.int64)
-    cur, idx = rows.T, np.arange(rows.shape[0], dtype=_int_dtype(0, rows.shape[0]))
-    _check_float_range(cur, kern)
-    while idx.size:
-        masks = _round_codes(cur, tests, bits)
-        nef = np.flatnonzero(masks == 0)
-        h0[idx[nef]] = np.maximum(_chi_rows(cur, nef), 0)
-        order = np.flatnonzero((masks != 0) & (masks < 1 << m))
-        order = order[np.argsort(masks[order], kind="stable")]
-        cur = cur.take(order, axis=1).astype(np.float64, copy=False)
-        idx, masks = idx[order], masks[order]
-        del nef, order  # else both live through the round
-        ended = _step_round(cur, masks, kern, rows, idx)
-        _check_float_range(cur, kern)
-        h0[idx[ended]] = np.maximum(_chi_rows(cur, np.flatnonzero(ended)), 0)
-        cur, idx = cur.take(np.flatnonzero(~ended), axis=1), idx[~ended]
-    return h0
-
-
-def _step_round(
-    cur: np.ndarray, masks: np.ndarray, kern: _Kernel, rows: np.ndarray, idx: np.ndarray
-) -> np.ndarray:
-    """Step every class (column) of cur by one round, in place; cur is
-    sorted by masks, the support masks of its classes, which came from
-    rows[idx].  Returns the classes that end: those stepped on det 1.
-
-    todo holds the positions whose support is still growing, sorted by mask
-    and then position, so that a group is a slice of cur when consecutive,
-    as all are on the first pass; it is taken _CHUNK columns at a time, and
-    a chunk on other positions is gathered.  A class whose support grows
-    joins todo untouched, so each holds its class of the round start until
-    it steps, and every product runs on classes bounded by the X of the
-    float64 carrier."""
-    ended = np.zeros(cur.shape[1], dtype=bool)
-    todo = np.arange(cur.shape[1])
-    while todo.size:
-        todo_masks = masks[todo]
-        starts = np.flatnonzero(np.r_[True, todo_masks[1:] != todo_masks[:-1]])
-        grew = np.zeros(todo.size, dtype=bool)
-        for start, end in zip(starts, np.r_[starts[1:], todo.size]):
-            mask = int(todo_masks[start])
-            sup = kern.support(mask)
-            s = len(sup.idx)
-            solve, step, bits = _batch(sup)
-            for lo in range(start, end, _CHUNK):
-                at = todo[lo : min(lo + _CHUNK, end)]
-                in_place = at[-1] - at[0] == at.size - 1
-                block = cur[:, at[0] : at[-1] + 1] if in_place else cur.take(at, axis=1)
-                prod = solve @ block
-                code = bits @ np.clip(prod[s:], -1, 0, out=prod[s:])  # minus the growth code
-                neg_n = prod[:s]
-                if code.any():
-                    stay = code == 0
-                    masks[at], grew[lo : lo + at.size] = mask | (-code).astype(masks.dtype), ~stay
-                    keep = np.flatnonzero(stay)
-                    if not keep.size:
-                        continue
-                    at, block, neg_n = at[keep], block.take(keep, axis=1), neg_n.take(keep, axis=1)
-                    in_place = False
-                # -ceil(N) in place, exactly (module docstring, float64 carrier)
-                delta = step @ np.floor(np.divide(neg_n, sup.det, out=neg_n), out=neg_n)
-                if delta[5].max() >= 0:
-                    bad = tuple(int(c) for c in rows[idx[at[np.argmax(delta[5] >= 0)]]])
-                    raise ReductionDivergenceError(
-                        f"Zariski round did not lower A.D at {bad} on {kern.label}"
-                    )
-                if in_place:
-                    block += delta[:5]
-                else:
-                    cur[:, at] = block + delta[:5]
-                if sup.det == 1:  # D - N is nef (cohomology, support table)
-                    ended[at] = True
-        todo = todo[grew]
-        todo = todo[np.lexsort((todo, masks[todo]))]
-    return ended
+    tests = np.array([*kern.curve_ints, *kern.ray_ints], dtype=np.float32)
+    bits = np.minimum(2 ** np.arange(m + k), 2**m).astype(np.float32)
+    sign = _sign_codes(rows.T, tests, bits)
+    # the change of code of a row's step, by its sign code: C @ strides for
+    # the curve C of the lowest set bit below 2^m (written last), 0 on 0
+    # and from 2^m on
+    strides = data.strides.tolist()
+    step = np.zeros(int(bits.sum()) + 1, dtype=codes.dtype)
+    sub = np.arange(1 << m)
+    for i in reversed(range(m)):
+        step[: 1 << m][sub >> i & 1 == 1] = sum(map(mul, kern.curves[i].coeffs, strides))
+    target = codes - step.take(sign)
+    ptr = np.searchsorted(codes, target)
+    missed = codes.take(ptr, mode="clip") != target
+    if missed.any():
+        i = int(np.argmax(missed))
+        curve = kern.curves[(int(sign[i]) & -int(sign[i])).bit_length() - 1]
+        raise CohomologyConsistencyError(
+            f"the step from {tuple(rows[i].tolist())} by the curve {curve.coeffs} "
+            f"on {kern.label} leaves the kernel rows"
+        )
+    del target, missed
+    h0 = np.maximum(data.row_chi, 0)
+    h0[sign != 0] = 0
+    return h0.take(_jump(ptr, kern.label))
 
 
 def _int_dtype(lo: int, hi: int) -> np.dtype:
@@ -255,8 +195,11 @@ class _BoxData(NamedTuple):
     h0_mask: np.ndarray  # the D that pass the pre-filter
     h2_mask: np.ndarray  # the D whose K - D passes it
     rows: np.ndarray  # the kernel's input, each needed class once, in the narrowest dtype
+    codes: np.ndarray  # the code of each row in the padded grid, ascending
+    row_chi: np.ndarray  # chi of each row, in the dtype of chi
     h0_at: np.ndarray  # the row of D, for each D of h0_mask
     h2_at: np.ndarray  # the row of K - D, for each D of h2_mask
+    strides: np.ndarray  # the padded grid's strides: a step by C changes a code by C @ strides
 
 
 @lru_cache(maxsize=1)
@@ -266,9 +209,10 @@ def _box(bound: int, rays: tuple[DivClass, ...]) -> _BoxData:
     D.P >= 0 and the K - D with (K - D).P >= 0 for every P of rays (the
     pre-filter of quintic.cohomology), in the order of their codes in the
     grid that holds both the box and K - box, stored so that rows.T, the
-    columns the rounds read, is C-contiguous.  The integer arrays take the
-    narrowest signed dtypes that hold them (module docstring, memory);
-    h0_at and h2_at the narrowest that holds the row count."""
+    columns _sign_codes reads, is C-contiguous, with their codes in that
+    grid widened by _PAD on every side and their chi.  The integer arrays
+    take the narrowest signed dtypes that hold them (module docstring,
+    memory); h0_at and h2_at the narrowest that holds the row count."""
     s = 2 * bound + 1
     r = np.arange(-bound, bound + 1)
     k, signs = np.array(K.coeffs)[:, None], np.array(_SIGNS)[:, None]
@@ -305,7 +249,21 @@ def _box(bound: int, rays: tuple[DivClass, ...]) -> _BoxData:
     for j, side in enumerate(sides):
         coord = np.arange(side) + corner[j]
         cols[j] = np.broadcast_to(coord.reshape((side,) + (1,) * (4 - j)), sides)[marked]
-    data = _BoxData(box, chi, h0_mask, h2_mask, cols.T, rank[h0_codes], rank[h2_codes])
+    h0_at, h2_at = rank[h0_codes], rank[h2_codes]
+    del marked, flat, rank
+    # chi(K - D) = chi(D), so each row's chi is that of a class it serves
+    row_chi = np.empty(cols.shape[1], dtype=chi.dtype)
+    row_chi[h0_at] = chi[h0_mask]
+    row_chi[h2_at] = chi[h2_mask]
+    # the codes of the rows in that grid widened by _PAD on every side, in
+    # which a step by a curve stays inside (module docstring, closure)
+    low = corner.ravel() - _PAD
+    wide = bound + _PAD - low + 1
+    strides = np.cumprod((1, *wide[:0:-1]))[::-1]
+    codes = np.zeros(cols.shape[1], dtype=_int_dtype(0, int(np.prod(wide)) - 1))
+    for coord, lo, stride in zip(cols, low.tolist(), strides.tolist()):
+        codes += (coord.astype(codes.dtype) - lo) * stride
+    data = _BoxData(box, chi, h0_mask, h2_mask, cols.T, codes, row_chi, h0_at, h2_at, strides)
     for a in data:
         a.setflags(write=False)
     return data
@@ -315,9 +273,10 @@ def run(kern: _Kernel, bound: int, return_arrays: bool) -> dict:
     """cohomology.sweep_box at a checked bound, on the kernel of its type:
     box and chi are _box's arrays, shared and read-only, and h0, h1 and h2
     take the narrowest signed dtype that holds their range."""
-    box, chi, h0_mask, h2_mask, rows, h0_at, h2_at = _box(bound, kern.prefilter)
+    data = _box(bound, kern.prefilter)
+    box, chi = data.box, data.chi
     n = box.shape[0]
-    h0 = _h0_rows(rows, kern)
+    h0 = _h0_rows(data, kern)
     # h^1 = h^0 + h^2 - chi lies in [-max chi, 2 max h^0 - min chi], and
     # numpy setitem wraps silently, so the dtype comes from that range; one
     # block for the three answers: fewer, larger allocations also keep glibc
@@ -325,8 +284,8 @@ def run(kern: _Kernel, bound: int, return_arrays: bool) -> dict:
     top = int(h0.max(initial=0))
     dtype = _int_dtype(min(0, -int(chi.max())), 2 * top - min(0, int(chi.min())))
     h0_d, h1_d, h2_d = np.zeros((3, n), dtype=dtype)
-    h0_d[h0_mask] = h0[h0_at]
-    h2_d[h2_mask] = h0[h2_at]
+    h0_d[data.h0_mask] = h0[data.h0_at]
+    h2_d[data.h2_mask] = h0[data.h2_at]
     del h0
     np.add(h0_d, h2_d, out=h1_d)
     h1_d -= chi

@@ -1,10 +1,12 @@
 """Checks on the package source: no assert statements, imports of the
 standard library, quintic and numpy alone, numpy by quintic.sweep alone,
 every ``__all__`` entry exists, and every name the benchmark tracer in
-perfbench/spans.py looks up still exists."""
+perfbench/spans.py looks up still exists; and on the test configuration:
+a failing Hypothesis test is reported like any other."""
 
 import ast
 import importlib
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -37,8 +39,8 @@ def _imported(node) -> list[str]:
 
 
 def test_only_the_sweep_module_imports_numpy():
-    # the exact layer runs on Python integers; the batch rounds alone carry
-    # them in float64.  Every other import is the standard library or
+    # the exact layer runs on Python integers; the sweep alone runs its
+    # walk in numpy.  Every other import is the standard library or
     # quintic itself: numpy is the one declared dependency, and packages that
     # happen to be installed (sympy, scipy) must not be reached for
     imports = {
@@ -87,3 +89,31 @@ def test_benchmark_suite_names():
 
     names = ("lattice", "catalog", "mutations", "cohomology", "grassmannian", "chern")
     assert tuple(suites._SUITES) == names == suites.SUITE_NAMES
+
+
+_FAILING_HYPOTHESIS_TEST = """
+import pytest
+from hypothesis import given, settings, strategies as st
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@settings(database=None, deadline=None)
+@given(x=st.integers())
+def test_fails(k, x):
+    assert x < 10
+"""
+
+
+def test_a_failing_hypothesis_test_is_reported_not_an_internal_error(tmp_path):
+    # filterwarnings = ["error"] turned the DeprecationWarning that the
+    # Hypothesis plugin raises, while it reports a falsifying example, into
+    # an INTERNALERROR that ended the run after the first failure
+    (tmp_path / "test_fails.py").write_text(_FAILING_HYPOTHESIS_TEST, encoding="utf-8")
+    command = [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml")]
+    command += ["--rootdir", str(tmp_path), "-q", "-p", "no:cacheprovider", "test_fails.py"]
+    run = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert run.returncode == 1, run.stdout[-2000:]
+    for k in (1, 2, 3):
+        assert f"FAILED test_fails.py::test_fails[{k}]" in run.stdout
+    assert "3 failed" in run.stdout
