@@ -89,7 +89,7 @@ the last column of step is the drop check of (d).  A curve C outside S is
 outside the first S of the round, so D.C >= 0, and if C meets no curve of
 S, (D - N).C = D.C: the test leaves out only such curves.  If det = 1, N
 is integral, and D - N meets S in 0, the tested curves nonnegatively and
-the others in D.C >= 0: it is nef, and both forms end there.  adj(-M_S)
+the others in D.C >= 0: it is nef, and the rounds end there.  adj(-M_S)
 and det come from Bareiss's fraction-free elimination, then solve and
 step from integer products.  The table serves the scalar rounds of h_all
 alone, which apply it to one class in Python integers; sweep_box needs no
@@ -97,10 +97,10 @@ support (quintic.sweep).  Scalar h^0 on the kernel rows of the twelve
 bound-4 sweeps fills the tables with exactly the 532 nonempty Zariski
 chambers.
 
-The dominant-chamber pre-filter.  Both forms need h^0(D) and h^2(D) =
-h^0(K - D), and compute h^0 of one of the two classes at most.  An
-effective class meets a nef class P nonnegatively, so X.P < 0 gives
-h^0(X) = 0, and skipping the rounds of X changes no answer.  -K is nef:
+The dominant-chamber pre-filter.  h_all and sweep_box both need h^0(D)
+and h^2(D) = h^0(K - D), and compute h^0 of one of the two classes at
+most.  An effective class meets a nef class P nonnegatively, so X.P < 0
+gives h^0(X) = 0, and skipping the work on X changes no answer.  -K is nef:
 -K.C = C^2 + 2 by adjunction, and each kernel checks -K.C >= 0.  Since
 K^2 = 5, (K - D).(-K) = -5 - D.(-K): at most one of D and K - D meets -K
 nonnegatively, and neither does when -5 < D.(-K) < 0.  Scalar h_all reads
@@ -307,9 +307,9 @@ _CHAMBER_RAYS = _nef_rays([tuple(map(mul, _SIGNS, r.coeffs)) for r in (*simple_r
 class _Kernel:
     """Per-type data of h^0: the negative curves, the extremal rays of the
     nef cone (step 1), their sum A (the measure class of (d)) and the
-    prefilter of sweep_box, which both forms read, and the support table of
-    the Zariski chambers, which only the scalar rounds read (module
-    docstring)."""
+    prefilter of sweep_box, which h_all and sweep_box both read, and the
+    support table of the Zariski chambers, which only the scalar rounds
+    read (module docstring)."""
 
     def __init__(self, t: SurfaceType):
         self.label = t.label
