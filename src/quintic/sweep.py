@@ -25,8 +25,8 @@ curve, which each kernel checks.  A row that points passes every ray, so
 A.D >= 0, and A.(D - C) <= A.D - 1: A.D falls along every chain, no row
 repeats, and a chain of n rows has fewer than n steps.  Each pass of
 _jump doubles the steps every pointer has taken, so n.bit_length()
-passes end every chain; one still moving after them raises
-CohomologyConsistencyError.  Chains take up to 60 steps at bound 5 and 90
+passes end every chain; a pointer that has not reached an end after them
+raises CohomologyConsistencyError.  Chains take up to 60 steps at bound 5 and 90
 at bound 8, and end after 6 and 7 passes.
 
 Closure.  The rows are sorted by their codes in a grid that holds every
@@ -49,7 +49,7 @@ float32, which carries integers below 2^24 exactly: a sum of integer
 terms whose absolute values add up to less than 2^24 comes out exact in
 any order of summation.  Row coefficients lie in [-bound - 3, bound], and
 the curve and ray functionals have coefficients of at most 4 in absolute
-value (|P|_1 <= 10 on the twelve types), so |D.P| <= 20 (bound + 3):
+value (|P|_1 <= 10 on the twelve types), so |D.P| <= 5 * 4 (bound + 3):
 exact below bound 838,000, far past any box that fits in memory, with
 (2 bound + 1)^5 classes.  A code is below 2^m (k + 1) <= 2^14.
 
