@@ -107,21 +107,24 @@ def _sign_codes(cols: np.ndarray, tests: np.ndarray, bits: np.ndarray) -> np.nda
     return codes
 
 
-def _jump(ptr: np.ndarray, label: str) -> np.ndarray:
+def _jump(ptr: np.ndarray, rows: np.ndarray, label: str) -> np.ndarray:
     """Every pointer of ptr followed to its end, a row that points at
     itself, by pointer jumping: each pass replaces ptr by ptr[ptr], which
     doubles the steps each pointer has taken.  A chain of rows without a
     cycle has fewer than ptr.size steps, so ptr.size.bit_length() passes
-    end it; a pointer that has not reached an end after them raises.  (A
-    pointer on a cycle can come back to its own row, so the test is
-    against the ends, not against ptr[ptr] == ptr.)"""
+    end it; a pointer that has not reached an end after them raises,
+    naming the first of rows whose chain did not end.  (A pointer on a
+    cycle can come back to its own row, so the test is against the ends,
+    not against ptr[ptr] == ptr.)"""
     end = ptr == np.arange(ptr.size)
     for _ in range(ptr.size.bit_length() + 1):
         if end.take(ptr).all():
             return ptr
         ptr = ptr.take(ptr)
+    first = rows[int(np.argmin(end.take(ptr)))]
     raise CohomologyConsistencyError(
-        f"pointer jumping on {label} did not end within {ptr.size.bit_length()} passes"
+        f"pointer jumping from {tuple(first.tolist())} on {label} "
+        f"did not end within {ptr.size.bit_length()} passes"
     )
 
 
@@ -158,7 +161,7 @@ def _h0_rows(data: _BoxData, kern: _Kernel) -> np.ndarray:
     del target, missed
     h0 = np.maximum(data.row_chi, 0)
     h0[sign != 0] = 0
-    return h0.take(_jump(ptr, kern.label))
+    return h0.take(_jump(ptr, rows, kern.label))
 
 
 def _int_dtype(lo: int, hi: int) -> np.dtype:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from math import ceil, gcd
@@ -651,9 +652,9 @@ def test_nef_rays_change_no_h_all(label, coeffs):
     assert h_all(d, t) == (h0, h0 + h2 - chi_line(d), h2)
 
 
-def test_scalar_divergence_error_names_the_starting_class():
+def test_batch_and_scalar_divergence_errors_name_the_starting_class():
     # a step matrix whose drop column reads 0 breaks the measure check of
-    # proof (d)
+    # proof (d) in the scalar rounds
     t, start = surface_type("II.1"), (3, -1, -4, 0, 0)
     kern = _Kernel(t)
     with _kernels({"II.1": kern}):
@@ -664,21 +665,104 @@ def test_scalar_divergence_error_names_the_starting_class():
     message = r"did not lower A\.D at \(3, -1, -4, 0, 0\) on II\.1$"
     with _kernels({"II.1": kern}), pytest.raises(ReductionDivergenceError, match=message):
         _h0(start, t)
-
-
-
-def _walk_h0(coeffs, t):
-    """h^0 by the walk of quintic.sweep, one class at a time in Python
-    integers: 0 once a ray meets the class negatively, max(chi, 0) once no
-    curve does, else the h^0 of the class minus its first negative curve."""
+    # in the walk of the batch kernel, -C beside the curve C = (0, -1, 1, 0, 0)
+    # breaks the measure of its termination argument, A.(-C) < 0: D steps by
+    # C to D - C, which meets only -C negatively and steps back to D
     kern = _kernel(t)
+    curve, start = kern.curves[0], (2, 0, 1, 0, 0)
+    assert curve.coeffs == (0, -1, 1, 0, 0)
+    cycled = SimpleNamespace(
+        label=kern.label,
+        curves=(*kern.curves, -curve),
+        curve_ints=(*kern.curve_ints, tuple(-x for x in kern.curve_ints[0])),
+        ray_ints=kern.ray_ints,
+    )
+    data = _rows_data([start, (2, 1, 0, 0, 0)])
+    message = r"^pointer jumping from \(2, 0, 1, 0, 0\) on II\.1 did not end within 2 passes$"
+    with pytest.raises(CohomologyConsistencyError, match=message):
+        _h0_rows(data, cycled)
+
+
+def _first_negative(kern, coeffs):
+    """The first curve of kern that meets the class negatively, or None."""
+    negative = (c for c, v in zip(kern.curves, kern.curve_ints) if sum(map(mul, v, coeffs)) < 0)
+    return next(negative, None)
+
+
+def _walk(coeffs, t, steps=None):
+    """The rows of the walk of quintic.sweep from a class, one at a time in
+    Python integers, and its h^0: 0 once a ray meets the class negatively,
+    max(chi, 0) once no curve does, else the h^0 of the class minus its
+    first negative curve.  With steps, a walk that has taken that many and
+    would step again gives its rows and None."""
+    kern, chain = _kernel(t), [coeffs]
     while not any(sum(map(mul, p, coeffs)) < 0 for p in kern.ray_ints):
-        negative = (c for c, v in zip(kern.curves, kern.curve_ints) if sum(map(mul, v, coeffs)) < 0)
-        first = next(negative, None)
+        first = _first_negative(kern, coeffs)
         if first is None:
-            return max(chi_line(DivClass(coeffs)), 0)
+            return chain, max(chi_line(DivClass(coeffs)), 0)
+        if steps is not None and len(chain) > steps:
+            return chain, None
         coeffs = tuple(x - y for x, y in zip(coeffs, first.coeffs))
-    return 0
+        chain.append(coeffs)
+    return chain, 0
+
+
+def _rows_data(rows):
+    """The data _h0_rows reads for the given classes alone: the rows in the
+    order of their codes in the grid that holds them with a margin of 1 on
+    every side, those codes, that grid's strides and each row's chi, all in
+    int64; the fields that only the sweep reads are empty."""
+    arr = np.array(sorted(set(rows)), dtype=np.int64)
+    low = arr.min(axis=0) - 1
+    wide = arr.max(axis=0) - low + 2
+    strides = np.cumprod((1, *wide[:0:-1].tolist()))[::-1]
+    codes = (arr - low) @ strides  # sorted: the codes order the rows as tuples
+    row_chi = np.array([chi_line(DivClass(tuple(r))) for r in arr.tolist()], dtype=np.int64)
+    empty = np.empty(0, dtype=np.int64)
+    return sweep._BoxData(empty, empty, empty, empty, arr, codes, row_chi, empty, empty, strides)
+
+
+@pytest.mark.parametrize("label", [t.label for t in catalog()])
+def test_batch_rows_at_the_float_limit_match_scalar(label):
+    # the walk's degrees run in float32, exact below 2^24, and the module
+    # docstring bounds |D.P| by 20 times the largest |coefficient| of a row:
+    # L is the largest coefficient that bound covers.  Each class goes to
+    # _h0_rows with the rows of its walk, up to 20 steps: a walk that ends
+    # within them gives the scalar h^0, and one that does not leaves the
+    # rows at its last row, by the first curve that the scalar rule names
+    L = (2**24 - 1) // 20
+    t = surface_type(label)
+    kern = _kernel(t)
+    rows = [
+        (L, 0, 0, 0, 0),
+        (0, -L, 0, 0, 0),
+        (L, -L, 0, 0, 0),
+        (L, 0, 0, 0, -L),
+        (L, L, 0, 0, 0),
+        (L, L, L, L, L),
+        (-L, 0, 0, 0, 0),
+        (L, -L, -L, -L, -L),
+    ]
+    # (L - 1) h + C steps once, to (L - 1) h, for each curve C with no h term
+    rows += [(L - 1 + c.coeffs[0], *c.coeffs[1:]) for c in kern.curves if c.coeffs[0] == 0]
+    ended = []
+    for d in rows:
+        chain, walked = _walk(d, t, steps=20)
+        data = _rows_data(chain)
+        ended.append(walked is not None)
+        if walked is None:
+            last = chain[-1]
+            step = f"the step from {last} by the curve {_first_negative(kern, last).coeffs}"
+            message = f"^{re.escape(f'{step} on {label} leaves the kernel rows')}$"
+            with pytest.raises(CohomologyConsistencyError, match=message):
+                _h0_rows(data, kern)
+        else:
+            at = [tuple(r) for r in data.rows.tolist()].index(d)
+            assert _h0_rows(data, kern)[at] == walked == _h0(d, t)[0], d
+    assert ended == [True, False, False, False, True, True, True, False] + [True] * (len(rows) - 8)
+    assert len(rows) > 8
+    # h^0(O(L h)) > 2^38
+    assert _h0_rows(_rows_data([(L, 0, 0, 0, 0)]), kern).tolist() == [(L + 1) * (L + 2) // 2]
 
 
 @pytest.mark.parametrize("label", [t.label for t in catalog()])
@@ -686,12 +770,18 @@ def _walk_h0(coeffs, t):
 @given(coeffs=st.tuples(*[st.integers(-64, 64)] * 5))
 @example(coeffs=(64, -64, -64, -64, -64))
 @example(coeffs=(-64, 64, 64, 64, 64))
-def test_first_curve_walk_and_scalar_rounds_agree_on_point_query_classes(label, coeffs):
-    # the walk's rule, away from the box and its closure: on D and on
-    # K - D, with |coeff| <= 64, the range of the point_queries benchmark
+def test_scalar_and_batch_rounds_agree_on_point_query_classes(label, coeffs):
+    # the scalar rounds and the walk of the batch kernel, _h0_rows, away
+    # from the box and its closure: on D and on K - D, with the rows of
+    # their walks, and |coeff| <= 64, the range of the point_queries
+    # benchmark
     t = surface_type(label)
-    for side in (coeffs, (K - DivClass(coeffs)).coeffs):
-        assert _walk_h0(side, t) == _h0(side, t)[0], side
+    sides = (coeffs, (K - DivClass(coeffs)).coeffs)
+    walks = [_walk(side, t) for side in sides]
+    data = _rows_data([d for chain, _ in walks for d in chain])
+    h0, rows = _h0_rows(data, _kernel(t)).tolist(), [tuple(r) for r in data.rows.tolist()]
+    for side, (_, walked) in zip(sides, walks):
+        assert h0[rows.index(side)] == walked == _h0(side, t)[0], side
 
 
 def test_sweep_prefilter_drops_only_rows_with_no_sections():
@@ -795,9 +885,9 @@ def test_walk_stays_on_the_kernel_rows_at_bounds_0_to_6():
     real = sweep._jump
     pointing = []
 
-    def counted(ptr, label):
+    def counted(ptr, rows, label):
         pointing[-1] += int(np.count_nonzero(ptr != np.arange(ptr.size)))
-        return real(ptr, label)
+        return real(ptr, rows, label)
 
     with mock.patch.object(sweep, "_jump", counted):
         for bound in range(7):
@@ -808,13 +898,17 @@ def test_walk_stays_on_the_kernel_rows_at_bounds_0_to_6():
 
 
 def test_jump_follows_every_chain_to_its_end_and_raises_on_a_cycle():
+    # the error names the first row whose chain does not end
+    rows = np.arange(5000).reshape(1000, 5)
     ptr = np.array([1, 2, 4, 4, 4, 5, 5])
-    assert _jump(ptr, "X").tolist() == [4, 4, 4, 4, 4, 5, 5]
+    assert _jump(ptr, rows, "X").tolist() == [4, 4, 4, 4, 4, 5, 5]
     chain = np.minimum(np.arange(1, 1001), 999)  # 999 steps, 10 passes
-    assert _jump(chain, "X").tolist() == [999] * 1000
-    for cycle in ([1, 0], [1, 2, 0, 3], [0, 2, 3, 4, 1]):
-        with pytest.raises(CohomologyConsistencyError, match="^pointer jumping on X did not end"):
-            _jump(np.array(cycle), "X")
+    assert _jump(chain, rows, "X").tolist() == [999] * 1000
+    for cycle, first in (([1, 0], 0), ([1, 2, 0, 3], 0), ([0, 2, 3, 4, 1], 1)):
+        row, passes = ", ".join(map(str, range(5 * first, 5 * first + 5))), len(cycle).bit_length()
+        message = rf"^pointer jumping from \({row}\) on X did not end within {passes} passes$"
+        with pytest.raises(CohomologyConsistencyError, match=message):
+            _jump(np.array(cycle), rows, "X")
 
 
 def test_a_step_that_leaves_the_kernel_rows_raises_naming_it():
