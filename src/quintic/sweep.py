@@ -33,15 +33,23 @@ Closure.  The rows are sorted by their codes in a grid that holds every
 row with a margin of _PAD = 1 on each side of each axis.  No negative
 curve has a coefficient beyond 1 in absolute value (_h0_rows checks it),
 so D - C lies in that grid, its code is code(D) - C @ strides, and equal
-codes are equal classes.  That D - C is a row at all, inside the box or
-K - box and past the pre-filter, is not proved: _h0_rows looks up every
-target, and a miss raises CohomologyConsistencyError naming the row, the
-curve and the type.  Measured on the twelve types: none of the 10,656,975
-rows that point at bounds 0-8 misses.  The order of the curves matters.
-Stepping by any negative curve of D instead of the first, 37 of the
-1,457,367 steps at bound 5 leave the rows, each by a (-2)-curve that is
-not the first, while no (-1)-curve step does; so a proof would have to
-use the order, in which the (-2)-curves come first.
+codes are equal classes.  _h0_rows finds the row of each target through
+a table over the rows' code span, codes[0] to codes[-1], holding each
+row's index at its code and -1 between rows: a box's rows fill that span
+densely, 2.4 to 15.8 codes per row at bounds 1-8.  A target past an end
+of the span is clipped to the end row, and the row found is checked to
+carry the target's code, so a clipped or -1 entry is a miss.  Row sets
+that span more than _SPAN_PER_ROW codes per row, such as the walks of
+far classes (|coefficient| 64 spans up to 3.8 * 10^10 codes), are
+searched by binary search on the codes instead, with the same check.
+That D - C is a row at all, inside the box or K - box and past the
+pre-filter, is not proved: a miss raises CohomologyConsistencyError
+naming the row, the curve and the type.  Measured on the twelve types:
+none of the 10,656,975 rows that point at bounds 0-8 misses.  The order
+of the curves matters.  Stepping by any negative curve of D instead of
+the first, 37 of the 1,457,367 steps at bound 5 leave the rows, each by
+a (-2)-curve that is not the first, while no (-1)-curve step does; so a
+proof would have to use the order, in which the (-2)-curves come first.
 
 Degrees.  The only products are the degrees of the rows on the curves and
 the rays, tests @ cols, and the codes, bits @ (degrees < 0), both in
@@ -69,10 +77,15 @@ chi, scattered from the box's since chi(K - D) = chi(D), and its h^0
 keep chi's dtype.  h0_at and h2_at take the narrowest dtype that holds
 the row count, and the returned h0, h1 and h2 the narrowest that holds
 h^1 = h^0 + h^2 - chi, in [-max chi, 2 max h^0 - min chi].  The float32
-degrees are built _CHUNK rows at a time.  Under tracemalloc, at bound 5,
-_box holds 2.2 MiB (14.5 bytes per class of the box), a warm sweep on
-V.2 peaks 1.8 MiB (11.7 bytes per class) above it, and twelve sweeps
-peak at 4.6 MiB with _box.
+degrees, and the steps' targets, lookups and miss checks, are built
+_CHUNK rows at a time.  The lookup table takes the narrowest signed dtype
+that holds -1 and the row count and is freed before _jump: at bound 5 it
+is 224,581 int32 entries, 0.9 MB (5.6 bytes per class of the box), and at
+bound 4 99,906 int16 entries, 0.2 MB.  Under tracemalloc, at bound 5,
+_box holds 2.2 MiB (14.5 bytes per class of the box), and a warm sweep
+on V.2 peaks 1.8 MiB (11.7 bytes per class) above it, in _jump; up to
+_jump it peaks at 10.8 bytes per class, the table included.  Twelve
+sweeps peak at 4.6 MiB with _box.
 """
 
 from __future__ import annotations
@@ -87,6 +100,11 @@ from .cohomology import _SIGNS, CohomologyConsistencyError, _Kernel
 from .lattice import K, DivClass
 
 _CHUNK = 8192
+
+# _h0_rows finds the rows of its steps through a table over the rows' code
+# span while that span is at most this many codes per row, and by binary
+# search on sparser rows (module docstring, closure)
+_SPAN_PER_ROW = 32
 
 # the margin of the code grid on every side of the rows: the largest
 # |coefficient| of a negative curve (module docstring, closure)
@@ -131,8 +149,9 @@ def _jump(ptr: np.ndarray, rows: np.ndarray, label: str) -> np.ndarray:
 def _h0_rows(data: _BoxData, kern: _Kernel) -> np.ndarray:
     """h^0 of every kernel row of data on the type of kern, in the dtype of
     the rows' chi, by the walk of the module docstring: one sign code per
-    row, a pointer from each row to the row of its step, found by code,
-    and _jump to the end of every chain."""
+    row, a pointer from each row to the row of its step, found by code
+    through a table over the rows' code span or, on rows too sparse in it,
+    by binary search, and _jump to the end of every chain."""
     if max(abs(x) for c in kern.curves for x in c.coeffs) > _PAD:
         raise CohomologyConsistencyError(f"{kern.label}: a curve leaves the margin of the codes")
     rows, codes = data.rows, data.codes
@@ -148,17 +167,31 @@ def _h0_rows(data: _BoxData, kern: _Kernel) -> np.ndarray:
     sub = np.arange(1 << m)
     for i in reversed(range(m)):
         step[: 1 << m][sub >> i & 1 == 1] = sum(map(mul, kern.curves[i].coeffs, strides))
-    target = codes - step.take(sign)
-    ptr = np.searchsorted(codes, target)
-    missed = codes.take(ptr, mode="clip") != target
-    if missed.any():
-        i = int(np.argmax(missed))
-        curve = kern.curves[(int(sign[i]) & -int(sign[i])).bit_length() - 1]
-        raise CohomologyConsistencyError(
-            f"the step from {tuple(rows[i].tolist())} by the curve {curve.coeffs} "
-            f"on {kern.label} leaves the kernel rows"
-        )
-    del target, missed
+    # the row of each code of the rows' span, -1 between rows, unless the
+    # rows are too sparse in it for a table (module docstring, closure)
+    n, first = codes.size, int(codes[0])
+    span = int(codes[-1]) - first + 1
+    where = None
+    if span <= _SPAN_PER_ROW * n:
+        where = np.full(span, -1, dtype=_int_dtype(-1, n))
+        where[codes - first] = np.arange(n, dtype=where.dtype)
+    ptr = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, _CHUNK):
+        target = codes[lo : lo + _CHUNK] - step.take(sign[lo : lo + _CHUNK])
+        if where is None:
+            at = np.searchsorted(codes, target)
+        else:
+            at = where.take(target - first, mode="clip")
+        missed = codes.take(at, mode="clip") != target
+        if missed.any():
+            i = lo + int(np.argmax(missed))
+            curve = kern.curves[(int(sign[i]) & -int(sign[i])).bit_length() - 1]
+            raise CohomologyConsistencyError(
+                f"the step from {tuple(rows[i].tolist())} by the curve {curve.coeffs} "
+                f"on {kern.label} leaves the kernel rows"
+            )
+        ptr[lo : lo + _CHUNK] = at
+    del where, target, at, missed
     h0 = np.maximum(data.row_chi, 0)
     h0[sign != 0] = 0
     return h0.take(_jump(ptr, rows, kern.label))
@@ -287,8 +320,8 @@ def run(kern: _Kernel, bound: int, return_arrays: bool) -> dict:
     top = int(h0.max(initial=0))
     dtype = _int_dtype(min(0, -int(chi.max())), 2 * top - min(0, int(chi.min())))
     h0_d, h1_d, h2_d = np.zeros((3, n), dtype=dtype)
-    h0_d[data.h0_mask] = h0[data.h0_at]
-    h2_d[data.h2_mask] = h0[data.h2_at]
+    h0_d[data.h0_mask] = h0.take(data.h0_at)
+    h2_d[data.h2_mask] = h0.take(data.h2_at)
     del h0
     np.add(h0_d, h2_d, out=h1_d)
     h1_d -= chi

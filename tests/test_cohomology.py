@@ -911,26 +911,42 @@ def test_jump_follows_every_chain_to_its_end_and_raises_on_a_cycle():
             _jump(np.array(cycle), rows, "X")
 
 
-def test_a_step_that_leaves_the_kernel_rows_raises_naming_it():
-    # drop the row that the first pointing row of the bound-2 box steps to;
-    # the lookup then misses at that row, the first whose step it was
+def test_a_step_that_leaves_the_kernel_rows_raises_naming_it(monkeypatch):
+    # cut rows of the bound-2 box so that a step leaves them: the row that
+    # the first pointing row steps to, inside the code span; or every row
+    # up to the first step to a lower code, or from the first step to a
+    # higher one, so that the step lands past an end of the span, where the
+    # table clips it to the end row.  By table and by binary search alike,
+    # the lookup then misses at the first row whose step is gone
     t = surface_type("II.1")
     kern, data = _kernel(t), _box(2, _CHAMBER_RAYS)
     rows = [DivClass(tuple(r)) for r in data.rows.tolist()]
-    for d in rows:
+    index = {d: i for i, d in enumerate(rows)}
+    steps = {}  # row -> (the first negative curve, the row of the step)
+    for i, d in enumerate(rows):
         if all(d.dot(p) >= 0 for p in kern.rays):
             curve = next((c for c in kern.curves if d.dot(c) < 0), None)
             if curve is not None:
-                break
-    gone = rows.index(d - curve)
-    keep = np.arange(len(rows)) != gone
-    cut = data._replace(rows=data.rows[keep], codes=data.codes[keep], row_chi=data.row_chi[keep])
-    message = (
-        rf"^the step from \({', '.join(map(str, d.coeffs))}\) by the curve "
-        rf"\({', '.join(map(str, curve.coeffs))}\) on II\.1 leaves the kernel rows$"
-    )
-    with pytest.raises(CohomologyConsistencyError, match=message):
-        _h0_rows(cut, kern)
+                steps[i] = curve, index[d - curve]
+    gone = next(to for _, to in steps.values())
+    down = next(to for i, (_, to) in steps.items() if to < i)
+    up = next(to for i, (_, to) in steps.items() if to > i)
+    at = np.arange(len(rows))
+    cuts = (at != gone, at > down, at < up)  # inside, past the first row, past the last
+    for keep in cuts:
+        cut = data._replace(
+            rows=data.rows[keep], codes=data.codes[keep], row_chi=data.row_chi[keep]
+        )
+        i = next(i for i, (_, to) in steps.items() if keep[i] and not keep[to])
+        d, curve = rows[i], steps[i][0]
+        message = (
+            rf"^the step from \({', '.join(map(str, d.coeffs))}\) by the curve "
+            rf"\({', '.join(map(str, curve.coeffs))}\) on II\.1 leaves the kernel rows$"
+        )
+        for per_row in (0, 2**40):  # binary search, then the table
+            monkeypatch.setattr(sweep, "_SPAN_PER_ROW", per_row)
+            with pytest.raises(CohomologyConsistencyError, match=message):
+                _h0_rows(cut, kern)
 
 
 def test_walk_refuses_a_curve_past_the_margin_of_the_codes():
@@ -1091,13 +1107,55 @@ def test_sweep_box_names_a_negative_h1_class_in_plain_ints(monkeypatch):
 
 def test_h0_rows_do_not_depend_on_the_chunk_size(monkeypatch):
     # a chunk of 7 rows splits the degrees of the 11,878 rows into 1,697
-    # products, the last one short
+    # products, the last one short, and their lookups likewise
     data = _box(3, (-K,))
     want = {t.label: _h0_rows(data, _kernel(t)) for t in catalog()}
     monkeypatch.setattr(sweep, "_CHUNK", 7)
     for t in catalog():
         assert (_h0_rows(data, _kernel(t)) == want[t.label]).all(), t.label
 
+
+
+@pytest.mark.parametrize("bound", range(6))
+def test_h0_rows_by_table_and_by_binary_search_agree(monkeypatch, bound):
+    # each lookup forced on every type, on the rays of
+    # test_box_matches_a_plain_int64_reference: a span of 0 codes per row
+    # sends every row set to binary search, and one of 2^40 to the table
+    all_rays = [_CHAMBER_RAYS, _kernel(_surface("II.1'", [delta(2, 1)])).prefilter, (-K,), ()]
+    for rays in all_rays:
+        data = _box(bound, rays)
+        for t in catalog():
+            h0 = []
+            for per_row in (0, 2**40):
+                monkeypatch.setattr(sweep, "_SPAN_PER_ROW", per_row)
+                h0.append(_h0_rows(data, _kernel(t)))
+            assert h0[0].dtype == h0[1].dtype and (h0[0] == h0[1]).all(), (len(rays), t.label)
+
+
+def test_h0_rows_search_only_rows_too_sparse_for_a_table():
+    # every box at bounds 0-8 spans at most 15.8 codes per row and takes the
+    # table; the walks of the two far classes of
+    # test_scalar_and_batch_rounds_agree_on_point_query_classes span 5.8e7
+    # to 1.4e8 codes per row, a table of up to 3.8e10 entries, and take the
+    # binary search
+    real, searched = np.searchsorted, []
+
+    def counted(*args, **kwargs):
+        searched.append(1)
+        return real(*args, **kwargs)
+
+    kern = _kernel(surface_type("V.2"))
+    with mock.patch.object(np, "searchsorted", counted):
+        for bound in range(9):
+            _h0_rows(_box(bound, _CHAMBER_RAYS), kern)
+            assert not searched, bound
+        for t in catalog():
+            for coeffs in ((64, -64, -64, -64, -64), (-64, 64, 64, 64, 64)):
+                sides = (coeffs, (K - DivClass(coeffs)).coeffs)
+                data = _rows_data([d for side in sides for d in _walk(side, t)[0]])
+                _h0_rows(data, _kernel(t))
+                assert searched, (t.label, coeffs)
+                searched.clear()
 
 
 def test_scalar_rounds_end_where_they_did_before_the_unimodular_exit():
