@@ -34,22 +34,21 @@ row with a margin of _PAD = 1 on each side of each axis.  No negative
 curve has a coefficient beyond 1 in absolute value (_h0_rows checks it),
 so D - C lies in that grid, its code is code(D) - C @ strides, and equal
 codes are equal classes.  _h0_rows finds the row of each target through
-a table over the rows' code span, codes[0] to codes[-1], holding each
-row's index at its code and -1 between rows: a box's rows fill that span
-densely, 2.4 to 15.8 codes per row at bounds 1-8.  A target past an end
-of the span is clipped to the end row, and the row found is checked to
-carry the target's code, so a clipped or -1 entry is a miss.  Row sets
-that span more than _SPAN_PER_ROW codes per row, such as the walks of
-far classes (|coefficient| 64 spans up to 3.8 * 10^10 codes), are
-searched by binary search on the codes instead, with the same check.
-That D - C is a row at all, inside the box or K - box and past the
-pre-filter, is not proved: a miss raises CohomologyConsistencyError
-naming the row, the curve and the type.  Measured on the twelve types:
-none of the 10,656,975 rows that point at bounds 0-8 misses.  The order
-of the curves matters.  Stepping by any negative curve of D instead of
-the first, 37 of the 1,457,367 steps at bound 5 leave the rows, each by
-a (-2)-curve that is not the first, while no (-1)-curve step does; so a
-proof would have to use the order, in which the (-2)-curves come first.
+one table over the rows' code span, codes[0] to codes[-1], holding each
+row's index at its code and -1 between rows.  That is its only lookup: a
+box's rows fill their span densely, 1.0, 15.8, 8.2, 5.1, 3.9, 3.2, 2.8,
+2.6 and 2.4 codes per row at bounds 0-8, so the table is at most 16
+entries per row.  A target past an end of the span is clipped to the end
+row, and the row found is checked to carry the target's code, so a
+clipped or -1 entry is a miss.  That D - C is a row at all, inside the
+box or K - box and past the pre-filter, is not proved: a miss raises
+CohomologyConsistencyError naming the row, the curve and the type.
+Measured on the twelve types: none of the 10,656,975 rows that point at
+bounds 0-8 misses.  The order of the curves matters.  Stepping by any
+negative curve of D instead of the first, 37 of the 1,457,367 steps at
+bound 5 leave the rows, each by a (-2)-curve that is not the first, while
+no (-1)-curve step does; so a proof would have to use the order, in
+which the (-2)-curves come first.
 
 Degrees.  The only products are the degrees of the rows on the curves and
 the rays, tests @ cols, and the codes, bits @ (degrees < 0), both in
@@ -101,11 +100,6 @@ from .lattice import K, DivClass
 
 _CHUNK = 8192
 
-# _h0_rows finds the rows of its steps through a table over the rows' code
-# span while that span is at most this many codes per row, and by binary
-# search on sparser rows (module docstring, closure)
-_SPAN_PER_ROW = 32
-
 # the margin of the code grid on every side of the rows: the largest
 # |coefficient| of a negative curve (module docstring, closure)
 _PAD = 1
@@ -150,8 +144,8 @@ def _h0_rows(data: _BoxData, kern: _Kernel) -> np.ndarray:
     """h^0 of every kernel row of data on the type of kern, in the dtype of
     the rows' chi, by the walk of the module docstring: one sign code per
     row, a pointer from each row to the row of its step, found by code
-    through a table over the rows' code span or, on rows too sparse in it,
-    by binary search, and _jump to the end of every chain."""
+    through a table over the rows' code span, and _jump to the end of every
+    chain."""
     if max(abs(x) for c in kern.curves for x in c.coeffs) > _PAD:
         raise CohomologyConsistencyError(f"{kern.label}: a curve leaves the margin of the codes")
     rows, codes = data.rows, data.codes
@@ -167,21 +161,15 @@ def _h0_rows(data: _BoxData, kern: _Kernel) -> np.ndarray:
     sub = np.arange(1 << m)
     for i in reversed(range(m)):
         step[: 1 << m][sub >> i & 1 == 1] = sum(map(mul, kern.curves[i].coeffs, strides))
-    # the row of each code of the rows' span, -1 between rows, unless the
-    # rows are too sparse in it for a table (module docstring, closure)
+    # the row of each code of the rows' span, -1 between rows (module
+    # docstring, closure)
     n, first = codes.size, int(codes[0])
-    span = int(codes[-1]) - first + 1
-    where = None
-    if span <= _SPAN_PER_ROW * n:
-        where = np.full(span, -1, dtype=_int_dtype(-1, n))
-        where[codes - first] = np.arange(n, dtype=where.dtype)
+    where = np.full(int(codes[-1]) - first + 1, -1, dtype=_int_dtype(-1, n))
+    where[codes - first] = np.arange(n, dtype=where.dtype)
     ptr = np.empty(n, dtype=np.intp)
     for lo in range(0, n, _CHUNK):
         target = codes[lo : lo + _CHUNK] - step.take(sign[lo : lo + _CHUNK])
-        if where is None:
-            at = np.searchsorted(codes, target)
-        else:
-            at = where.take(target - first, mode="clip")
+        at = where.take(target - first, mode="clip")
         missed = codes.take(at, mode="clip") != target
         if missed.any():
             i = lo + int(np.argmax(missed))

@@ -47,7 +47,7 @@ from quintic.lattice import (
     weyl_orbit,
 )
 from quintic.surfaces import _surface, a3_block_classes, catalog, surface_type
-from quintic.sweep import _box, _h0_rows, _int_dtype, _jump, _on_grid
+from quintic.sweep import _box, _h0_rows, _int_dtype, _jump, _on_grid, _sign_codes
 
 
 def test_negative_curves_smooth_type():
@@ -771,17 +771,29 @@ def test_batch_rows_at_the_float_limit_match_scalar(label):
 @example(coeffs=(64, -64, -64, -64, -64))
 @example(coeffs=(-64, 64, 64, 64, 64))
 def test_scalar_and_batch_rounds_agree_on_point_query_classes(label, coeffs):
-    # the scalar rounds and the walk of the batch kernel, _h0_rows, away
-    # from the box and its closure: on D and on K - D, with the rows of
-    # their walks, and |coeff| <= 64, the range of the point_queries
-    # benchmark
+    # the scalar rounds and the walk of quintic.sweep away from the box and
+    # its closure, on D and on K - D with |coeff| <= 64, the range of the
+    # point_queries benchmark.  These walks are too sparse in their codes
+    # for _h0_rows's table (one side alone spans up to 2.0e8 codes, IV.1's
+    # 139-row walk from (61, 61, 26, 31, -50)), so the walk is replayed in
+    # Python integers, and its only float arithmetic, _sign_codes, is
+    # checked on every row of both walks against the codes in integers
     t = surface_type(label)
+    kern = _kernel(t)
     sides = (coeffs, (K - DivClass(coeffs)).coeffs)
     walks = [_walk(side, t) for side in sides]
-    data = _rows_data([d for chain, _ in walks for d in chain])
-    h0, rows = _h0_rows(data, _kernel(t)).tolist(), [tuple(r) for r in data.rows.tolist()]
     for side, (_, walked) in zip(sides, walks):
-        assert h0[rows.index(side)] == walked == _h0(side, t)[0], side
+        assert walked == _h0(side, t)[0], side
+    rows = [d for chain, _ in walks for d in chain]
+    m, k = len(kern.curve_ints), len(kern.ray_ints)
+    tests = np.array([*kern.curve_ints, *kern.ray_ints], dtype=np.float32)
+    bits = np.minimum(2 ** np.arange(m + k), 2**m).astype(np.float32)
+    want = [
+        sum(1 << i for i, c in enumerate(kern.curve_ints) if sum(map(mul, c, d)) < 0)
+        + (1 << m) * sum(sum(map(mul, p, d)) < 0 for p in kern.ray_ints)
+        for d in rows
+    ]
+    assert _sign_codes(np.array(rows).T, tests, bits).tolist() == want
 
 
 def test_sweep_prefilter_drops_only_rows_with_no_sections():
@@ -911,13 +923,13 @@ def test_jump_follows_every_chain_to_its_end_and_raises_on_a_cycle():
             _jump(np.array(cycle), rows, "X")
 
 
-def test_a_step_that_leaves_the_kernel_rows_raises_naming_it(monkeypatch):
+def test_a_step_that_leaves_the_kernel_rows_raises_naming_it():
     # cut rows of the bound-2 box so that a step leaves them: the row that
     # the first pointing row steps to, inside the code span; or every row
     # up to the first step to a lower code, or from the first step to a
     # higher one, so that the step lands past an end of the span, where the
-    # table clips it to the end row.  By table and by binary search alike,
-    # the lookup then misses at the first row whose step is gone
+    # table clips it to the end row.  The lookup then misses at the first
+    # row whose step is gone
     t = surface_type("II.1")
     kern, data = _kernel(t), _box(2, _CHAMBER_RAYS)
     rows = [DivClass(tuple(r)) for r in data.rows.tolist()]
@@ -943,10 +955,8 @@ def test_a_step_that_leaves_the_kernel_rows_raises_naming_it(monkeypatch):
             rf"^the step from \({', '.join(map(str, d.coeffs))}\) by the curve "
             rf"\({', '.join(map(str, curve.coeffs))}\) on II\.1 leaves the kernel rows$"
         )
-        for per_row in (0, 2**40):  # binary search, then the table
-            monkeypatch.setattr(sweep, "_SPAN_PER_ROW", per_row)
-            with pytest.raises(CohomologyConsistencyError, match=message):
-                _h0_rows(cut, kern)
+        with pytest.raises(CohomologyConsistencyError, match=message):
+            _h0_rows(cut, kern)
 
 
 def test_walk_refuses_a_curve_past_the_margin_of_the_codes():
@@ -1117,45 +1127,29 @@ def test_h0_rows_do_not_depend_on_the_chunk_size(monkeypatch):
 
 
 @pytest.mark.parametrize("bound", range(6))
-def test_h0_rows_by_table_and_by_binary_search_agree(monkeypatch, bound):
-    # each lookup forced on every type, on the rays of
-    # test_box_matches_a_plain_int64_reference: a span of 0 codes per row
-    # sends every row set to binary search, and one of 2^40 to the table
-    all_rays = [_CHAMBER_RAYS, _kernel(_surface("II.1'", [delta(2, 1)])).prefilter, (-K,), ()]
-    for rays in all_rays:
+def test_h0_rows_on_wider_prefilters_agree_and_add_only_h0_0(bound):
+    # the three ray sets of test_box_matches_a_plain_int64_reference that
+    # keep more rows than the catalog's: every row has its code in the same
+    # padded grid, a row that the chamber rays also keep gets the same h^0,
+    # and every other row meets a chamber ray, nef on every type, negatively
+    want = {t.label: _h0_rows(_box(bound, _CHAMBER_RAYS), _kernel(t)) for t in catalog()}
+    chamber_codes = _box(bound, _CHAMBER_RAYS).codes
+    for rays in [_kernel(_surface("II.1'", [delta(2, 1)])).prefilter, (-K,), ()]:
         data = _box(bound, rays)
+        kept = np.isin(data.codes, chamber_codes)
+        assert kept.sum() == chamber_codes.size, (bound, len(rays))
         for t in catalog():
-            h0 = []
-            for per_row in (0, 2**40):
-                monkeypatch.setattr(sweep, "_SPAN_PER_ROW", per_row)
-                h0.append(_h0_rows(data, _kernel(t)))
-            assert h0[0].dtype == h0[1].dtype and (h0[0] == h0[1]).all(), (len(rays), t.label)
+            h0 = _h0_rows(data, _kernel(t))
+            assert (h0[kept] == want[t.label]).all(), (len(rays), t.label)
+            assert not h0[~kept].any(), (len(rays), t.label)
 
 
-def test_h0_rows_search_only_rows_too_sparse_for_a_table():
-    # every box at bounds 0-8 spans at most 15.8 codes per row and takes the
-    # table; the walks of the two far classes of
-    # test_scalar_and_batch_rounds_agree_on_point_query_classes span 5.8e7
-    # to 1.4e8 codes per row, a table of up to 3.8e10 entries, and take the
-    # binary search
-    real, searched = np.searchsorted, []
-
-    def counted(*args, **kwargs):
-        searched.append(1)
-        return real(*args, **kwargs)
-
-    kern = _kernel(surface_type("V.2"))
-    with mock.patch.object(np, "searchsorted", counted):
-        for bound in range(9):
-            _h0_rows(_box(bound, _CHAMBER_RAYS), kern)
-            assert not searched, bound
-        for t in catalog():
-            for coeffs in ((64, -64, -64, -64, -64), (-64, 64, 64, 64, 64)):
-                sides = (coeffs, (K - DivClass(coeffs)).coeffs)
-                data = _rows_data([d for side in sides for d in _walk(side, t)[0]])
-                _h0_rows(data, _kernel(t))
-                assert searched, (t.label, coeffs)
-                searched.clear()
+def test_box_codes_span_at_most_16_codes_per_row_at_bounds_0_to_8():
+    # the size of _h0_rows's one table: 1814 codes for 115 rows at bound 1
+    # (15.8 per row), 224,581 for 69,646 at bound 5 (3.2)
+    for bound in range(9):
+        codes = _box(bound, _CHAMBER_RAYS).codes
+        assert int(codes[-1]) - int(codes[0]) + 1 <= 16 * codes.size, bound
 
 
 def test_scalar_rounds_end_where_they_did_before_the_unimodular_exit():
