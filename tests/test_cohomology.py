@@ -1132,12 +1132,12 @@ def test_h0_rows_on_wider_prefilters_agree_and_add_only_h0_0(bound):
     # keep more rows than the catalog's: every row has its code in the same
     # padded grid, a row that the chamber rays also keep gets the same h^0,
     # and every other row meets a chamber ray, nef on every type, negatively
-    want = {t.label: _h0_rows(_box(bound, _CHAMBER_RAYS), _kernel(t)) for t in catalog()}
-    chamber_codes = _box(bound, _CHAMBER_RAYS).codes
+    chamber = _box(bound, _CHAMBER_RAYS)
+    want = {t.label: _h0_rows(chamber, _kernel(t)) for t in catalog()}
     for rays in [_kernel(_surface("II.1'", [delta(2, 1)])).prefilter, (-K,), ()]:
         data = _box(bound, rays)
-        kept = np.isin(data.codes, chamber_codes)
-        assert kept.sum() == chamber_codes.size, (bound, len(rays))
+        kept = np.isin(data.codes, chamber.codes)
+        assert kept.sum() == chamber.codes.size, (bound, len(rays))
         for t in catalog():
             h0 = _h0_rows(data, _kernel(t))
             assert (h0[kept] == want[t.label]).all(), (len(rays), t.label)
