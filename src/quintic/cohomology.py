@@ -129,7 +129,7 @@ from math import gcd
 from operator import mul
 from typing import Sequence
 
-from .euler import chi_line, euler_pair, f_tilde_class, hilbert_poly, structure_class
+from .euler import chi_line, euler_pair, f_tilde_class, structure_class
 from .lattice import E, H, K, ZERO, DivClass, minus_one_classes, simple_roots
 from .surfaces import SurfaceType
 
@@ -432,7 +432,7 @@ def f_tilde_cohomology(t: SurfaceType) -> tuple[int, int, int]:
         )
     h0 = lower[0] + upper[0]
     cls = f_tilde_class()
-    if euler_pair(structure_class(), cls) != h0 or hilbert_poly(cls)(0) != h0:
+    if euler_pair(structure_class(), cls) != h0:
         raise CohomologyConsistencyError("extension class chi mismatch")
     if cls.c1 != -K:
         raise CohomologyConsistencyError("extension class determinant mismatch")

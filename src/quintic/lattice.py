@@ -194,9 +194,9 @@ def weyl_orbit(seed: Iterable[DivClass]) -> frozenset[DivClass]:
 
 
 def is_weyl_stable(classes: Iterable[DivClass]) -> bool:
-    """True iff every simple reflection permutes the given set of classes."""
+    """True iff the set of classes is a union of Weyl orbits."""
     s = frozenset(classes)
-    return all(frozenset(_reflect(d, r) for d in s) == s for r in simple_roots())
+    return weyl_orbit(s) == s
 
 
 def weyl_group_elements() -> frozenset[tuple[DivClass, ...]]:

@@ -26,7 +26,6 @@ __all__ = [
     "UnmatchedCurveError",
     "right_mutate",
     "left_mutate",
-    "move_to_end",
     "gram",
     "assert_unitriangular",
     "is_unitriangular",
@@ -74,21 +73,26 @@ def gram(c: ExcCollection) -> list[list[int]]:
     return [[c.pairing(x, y) for y in classes] for x in classes]
 
 
+def _triangle_break(c: ExcCollection) -> str | None:
+    """Name the first entry on or below the diagonal, row by row, that differs
+    from the identity matrix's; no pairing above the diagonal is computed."""
+    classes, labels = c.classes(), c.labels()
+    for i, x in enumerate(classes):
+        for j in range(i + 1):
+            value = c.pairing(x, classes[j])
+            if value != int(i == j):
+                return f"chi({labels[i]}, {labels[j]}) = {value} at ({i}, {j})"
+    return None
+
+
 def is_unitriangular(c: ExcCollection) -> bool:
-    g = gram(c)
-    n = len(g)
-    for i in range(n):
-        if g[i][i] != 1:
-            return False
-        for j in range(i):
-            if g[i][j] != 0:
-                return False
-    return True
+    return _triangle_break(c) is None
 
 
 def assert_unitriangular(c: ExcCollection) -> bool:
-    if not is_unitriangular(c):
-        raise MutationError(f"Gram matrix not unitriangular for {c.labels()}")
+    broken = _triangle_break(c)
+    if broken is not None:
+        raise MutationError(f"Gram matrix not unitriangular for {c.labels()}: {broken}")
     return True
 
 
@@ -116,15 +120,6 @@ def left_mutate(c: ExcCollection, i: int) -> ExcCollection:
     return c.replaced(objects)
 
 
-def move_to_end(c: ExcCollection, i: int, check) -> ExcCollection:
-    """Right-mutate the object at position i past everything after it,
-    calling ``check`` on each result."""
-    for j in range(i, len(c) - 1):
-        c = right_mutate(c, j)
-        check(c)
-    return c
-
-
 def replay(c: ExcCollection, script: Sequence[dict], check) -> ExcCollection:
     """Apply a list of {kind, index} steps.
 
@@ -142,7 +137,9 @@ def replay(c: ExcCollection, script: Sequence[dict], check) -> ExcCollection:
             c = left_mutate(c, index)
             check(c)
         elif kind == "transpose-to-end":
-            c = move_to_end(c, index, check)
+            for j in range(index, len(c) - 1):
+                c = right_mutate(c, j)
+                check(c)
         else:
             raise MutationError(f"unknown step kind {kind!r}")
     return c

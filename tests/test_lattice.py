@@ -227,3 +227,5 @@ def test_closure_under_a_faulty_reflection_fails_finitely(monkeypatch):
         weyl_orbit([E[1]])
     with pytest.raises(WeylClosureError):
         weyl_group_elements()
+    with pytest.raises(WeylClosureError):
+        is_weyl_stable([E[1]])

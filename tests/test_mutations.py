@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,6 @@ from quintic.mutations import (
     hermite_normal_form,
     is_unitriangular,
     left_mutate,
-    move_to_end,
     replay,
     right_mutate,
     run_sodwdp_derivation,
@@ -68,6 +68,34 @@ def test_gram_matches_chi_line():
             assert g[i][j] == chi_line(d2 - d1)
 
 
+def test_is_unitriangular_reads_only_the_triangle():
+    # the classes are their slot numbers, and a pairing above the diagonal raises
+    calls = []
+
+    def collection(entries):
+        def pairing(x, y):
+            if x < y:
+                raise AssertionError(f"pairing ({x}, {y}) lies above the diagonal")
+            calls.append((x, y))
+            return entries.get((x, y), int(x == y))
+
+        return ExcCollection(tuple((f"E{k}", k) for k in range(5)), pairing)
+
+    assert is_unitriangular(collection({}))
+    assert len(calls) == 5 * 6 // 2
+    assert not is_unitriangular(collection({(2, 2): -1}))
+    assert not is_unitriangular(collection({(3, 1): 2}))
+
+
+def test_failed_check_names_the_first_broken_entry():
+    c = ExcCollection(
+        (("O(h)", line_bundle_class(H)), ("O", line_bundle_class(ZERO))), euler_pair
+    )
+    message = "Gram matrix not unitriangular for ('O(h)', 'O'): chi(O, O(h)) = 3 at (1, 0)"
+    with pytest.raises(MutationError, match=re.escape(message)):
+        assert_unitriangular(c)
+
+
 def test_start_and_target_collections_unitriangular():
     assert is_unitriangular(sodwdp_start_collection())
     assert is_unitriangular(sodwdp_target_collection())
@@ -97,7 +125,7 @@ def test_right_mutation_of_orthogonal_pair_transposes():
 
 def test_mutation_past_whole_collection_is_anticanonical_twist():
     c = sodwdp_start_collection()
-    final = move_to_end(c, 0, lambda c: None)
+    final = replay(c, [{"kind": "transpose-to-end", "index": 0}], lambda c: None)
     moved = final.classes()[-1]
     expected = line_bundle_class(-K - H)  # O(-h) twisted by O(-K)
     assert moved in (expected, -expected)
