@@ -53,9 +53,8 @@ __all__ = ["DEFAULT_SEED", "SUITE_NAMES", "run_suites"]
 DEFAULT_SEED = 20260808
 
 
-def _check(details: dict, name: str, ok: bool) -> bool:
+def _check(details: dict, name: str, ok: bool) -> None:
     details[name] = bool(ok)
-    return bool(ok)
 
 
 def suite_lattice(seed: int) -> dict:

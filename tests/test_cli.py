@@ -10,6 +10,7 @@ import quintic.cli
 from quintic.cli import EXIT_INTERNAL, EXIT_PIPE, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).parent / "data" / "report_default_seed.json"
 
 
 def run(capsys, *argv):
@@ -73,6 +74,36 @@ def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "lattice")
     assert code == 0
     assert "PASS" in out
+
+
+def test_verify_lists_every_check_of_the_golden_report(capsys):
+    # the golden file stores each section's details with sorted keys, and
+    # verify prints them in the order its suite runs them, so the lines of
+    # a section are compared in sorted order
+    golden = json.loads(GOLDEN.read_text())
+    expected = [
+        (
+            f"[PASS] suite {section['name']}",
+            sorted(
+                f"    [{'ok' if value else 'FAIL'}] {key}"
+                if isinstance(value, bool)
+                else f"    [--] {key}: {value}"
+                for key, value in section["details"].items()
+            ),
+        )
+        for section in golden["sections"]
+    ]
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    *lines, last = out.splitlines()
+    assert last == "passed 6, failed 0"
+    sections = []
+    for line in lines:
+        if line.startswith("    "):
+            sections[-1][1].append(line)
+        else:
+            sections.append((line, []))
+    assert [(header, sorted(rows)) for header, rows in sections] == expected
 
 
 def test_verify_unknown_suite_exits_2(capsys):
