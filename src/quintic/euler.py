@@ -8,14 +8,13 @@ K^2 = 5) the pairing
     chi(x, y) = integral of ch(x)^dual . ch(y) . Td
 
 is an exact integer for all classes handled here.  Hilbert polynomials are
-taken with respect to -K; all arithmetic is integer or Fraction, never
-floating point, and the Euler pairing is computed in integers as 2 chi.
+taken with respect to -K; all arithmetic is integer, never floating point,
+and the Euler pairing is computed in integers as 2 chi.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .lattice import H, K, ZERO, DivClass
@@ -24,7 +23,7 @@ from .surfaces import a3_block_classes
 __all__ = [
     "IntegralityError",
     "KClass",
-    "HilbPoly",
+    "HILBERT_POINTS",
     "line_bundle_class",
     "structure_class",
     "point_class",
@@ -33,7 +32,7 @@ __all__ = [
     "chi_line",
     "euler_pair",
     "twist",
-    "hilbert_poly",
+    "hilbert_values",
     "verify_chi_identities",
     "normal_bundle_cherns",
 ]
@@ -186,33 +185,15 @@ def twist(x: KClass, d: DivClass) -> KClass:
     )
 
 
-@dataclass(frozen=True)
-class HilbPoly:
-    """Polynomial c2*t^2 + c1*t + c0 with exact rational coefficients."""
-
-    c2: Fraction
-    c1: Fraction
-    c0: Fraction
-
-    def __post_init__(self):
-        for name in ("c2", "c1", "c0"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-
-    def __call__(self, t) -> Fraction:
-        return self.c2 * t * t + self.c1 * t + self.c0
-
-    def __mul__(self, n) -> "HilbPoly":
-        n = Fraction(n)
-        return HilbPoly(n * self.c2, n * self.c1, n * self.c0)
-
-    __rmul__ = __mul__
+# A Hilbert polynomial on a surface has degree at most 2, so its values at
+# three points determine it.
+HILBERT_POINTS = (-1, 0, 1)
 
 
-def hilbert_poly(c: KClass) -> HilbPoly:
-    """Hilbert polynomial t -> chi(c twisted by -tK)."""
-    chi0 = euler_pair(structure_class(), c)
-    lead = Fraction(5 * c.rank, 2)
-    return HilbPoly(lead, lead - c.c1.dot(K), Fraction(chi0))
+def hilbert_values(c: KClass) -> tuple[int, ...]:
+    """The Hilbert polynomial t -> chi(c twisted by -tK) at HILBERT_POINTS."""
+    o = structure_class()
+    return tuple(euler_pair(o, twist(c, -t * K)) for t in HILBERT_POINTS)
 
 
 def verify_chi_identities(g: KClass) -> bool:

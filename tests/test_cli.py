@@ -217,6 +217,24 @@ def test_gram_refuses_a_collection_and_classes_together(capsys, collection):
     assert "argument --classes: not allowed with argument --collection" in err
 
 
+def test_gram_pairs_each_ordered_pair_of_classes_once(capsys, monkeypatch):
+    # unitriangularity is read off the printed matrix: n^2 pairings, not
+    # n^2 + n(n+1)/2.  O, O(h), O(2h) is exceptional and the reverse order
+    # is not, which a transposed reading would miss
+    calls = []
+    pair = quintic.cli.euler_pair
+    monkeypatch.setattr(quintic.cli, "euler_pair", lambda x, y: calls.append(1) or pair(x, y))
+    for order, unitriangular in ((range(3), True), (range(2, -1, -1), False)):
+        classes = json.dumps(
+            [{"rank": 1, "c1": [a, 0, 0, 0, 0], "ch2": [a * a, 2]} for a in order]
+        )
+        calls.clear()
+        code, out, _ = run(capsys, "--json", "gram", "--classes", classes)
+        assert code == 0
+        assert json.loads(out)["unitriangular"] is unitriangular
+        assert len(calls) == 9
+
+
 def test_gram_defaults_to_target7(capsys):
     assert run(capsys, "gram") == run(capsys, "gram", "--collection", "target7")
 
@@ -258,6 +276,7 @@ def test_internal_error_exits_70_with_its_type(capsys, monkeypatch):
 def test_report_runs_everything(capsys):
     code, out, _ = run(capsys, "report")
     assert code == 0
+    assert run(capsys, "--json", "verify", "all") == (code, out, "")
     payload = json.loads(out)
     assert payload["summary"] == {"passed": 6, "failed": 0}
     assert [s["name"] for s in payload["sections"]] == [

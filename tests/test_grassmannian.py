@@ -340,7 +340,10 @@ def test_rank_identities():
 
 
 def test_rhom_acceptance_values():
+    # K1's presentation 0 -> Sym^3 R* -> V (x) Sym^2 R*(1) -> K1 -> 0 runs
+    # this way: the map goes from Sym^3 R*, and nothing comes back
     assert rhom(sym_rstar(3), sym_rstar(2, 1)) == CohProfile.of({0: 5})
+    assert rhom(sym_rstar(2, 1), sym_rstar(3)) == CohProfile(())
     assert rhom(sym_rstar(3), o(2)) == CohProfile(())
     k1 = 5 * sym_rstar(2, 1) - sym_rstar(3)
     assert rhom(k1, rstar(2)) == CohProfile.of({0: 10})

@@ -1,8 +1,8 @@
 """Checks on the package source: no assert statements, imports of the
 standard library, quintic and numpy alone, numpy by quintic.sweep alone,
-every ``__all__`` entry exists, and every name the benchmark tracer in
-perfbench/spans.py looks up still exists; and on the test configuration:
-a failing Hypothesis test is reported like any other."""
+fractions by no module, every ``__all__`` entry exists, and every name the
+benchmark tracer in perfbench/spans.py looks up still exists; and on the
+test configuration: a failing Hypothesis test is reported like any other."""
 
 import ast
 import importlib
@@ -42,12 +42,14 @@ def test_only_the_sweep_module_imports_numpy():
     # the exact layer runs on Python integers; the sweep alone runs its
     # walk in numpy.  Every other import is the standard library or
     # quintic itself: numpy is the one declared dependency, and packages that
-    # happen to be installed (sympy, scipy) must not be reached for
+    # happen to be installed (sympy, scipy) must not be reached for.  No
+    # module imports fractions: the exact layer is integer-only
     imports = {
         p.name: {n for node in ast.walk(ast.parse(p.read_text())) for n in _imported(node)}
         for p in SOURCES
     }
     assert [name for name, found in imports.items() if "numpy" in found] == ["sweep.py"]
+    assert [name for name, found in imports.items() if "fractions" in found] == []
     allowed = sys.stdlib_module_names | {"quintic", "numpy"}
     foreign = {name: sorted(found - allowed) for name, found in imports.items() if found - allowed}
     assert foreign == {}
