@@ -92,10 +92,10 @@ is integral, and D - N meets S in 0, the tested curves nonnegatively and
 the others in D.C >= 0: it is nef, and the rounds end there.  adj(-M_S)
 and det come from Bareiss's fraction-free elimination, then solve and
 step from integer products.  The table serves the scalar rounds of h_all
-alone, which apply it to one class in Python integers; sweep_box needs no
-support (quintic.sweep).  Scalar h^0 on the kernel rows of the twelve
-bound-4 sweeps fills the tables with exactly the 532 nonempty Zariski
-chambers.
+alone, which apply it to the coefficient tuple of one class in Python
+integers; sweep_box needs no support (quintic.sweep).  Scalar h^0 on the
+kernel rows of the twelve bound-4 sweeps fills the tables with exactly the
+532 nonempty Zariski chambers.
 
 The dominant-chamber pre-filter.  h_all and sweep_box both need h^0(D)
 and h^2(D) = h^0(K - D), and compute h^0 of one of the two classes at
@@ -104,8 +104,9 @@ gives h^0(X) = 0, and skipping the work on X changes no answer.  -K is nef:
 -K.C = C^2 + 2 by adjunction, and each kernel checks -K.C >= 0.  Since
 K^2 = 5, (K - D).(-K) = -5 - D.(-K): at most one of D and K - D meets -K
 nonnegatively, and neither does when -5 < D.(-K) < 0.  Scalar h_all reads
-D.(-K) = 3a - b1 - b2 - b3 - b4 and runs the rounds on D when it is >= 0,
-on K - D when it is <= -5, and not at all in between.  sweep_box tests
+D.(-K) = 3a - b1 - b2 - b3 - b4 off the coefficients of D and runs the
+rounds on D when it is >= 0, on K - D = (-3 - a, -1 - b1, ..., -1 - b4)
+when it is <= -5, and not at all in between.  sweep_box tests
 the rays of the dominant Weyl chamber {D : D.r >= 0 on the simple roots
 r, D.e4 >= 0}, h, h - e1, 2h - e1 - e2, 3h - e1 - e2 - e3 and -K, that
 its kernel checks nef on its curves: all five on the twelve types, not
@@ -129,7 +130,7 @@ from math import gcd
 from operator import mul
 from typing import Sequence
 
-from .euler import chi_line, euler_pair, f_tilde_class, structure_class
+from .euler import chi_coeffs, euler_pair, f_tilde_class, structure_class
 from .lattice import E, H, K, ZERO, DivClass, minus_one_classes, simple_roots
 from .surfaces import SurfaceType
 
@@ -352,15 +353,16 @@ def _kernel(t: SurfaceType) -> _Kernel:
     return _Kernel(t)
 
 
-def _h0(coeffs: tuple[int, ...], t: SurfaceType) -> tuple[int, DivClass]:
-    """h^0 of the class coeffs on t by Zariski rounds, and the class the
-    rounds end at."""
+def _h0(coeffs: tuple[int, ...], t: SurfaceType) -> tuple[int, tuple[int, ...]]:
+    """h^0 of the class coeffs on t by Zariski rounds, and the coefficients
+    of the class the rounds end at; at a nef end h^0 = max(chi, 0), with chi
+    from those coefficients."""
     kern = _kernel(t)
     a, b1, b2, b3, b4 = coeffs
     while True:
         for x, y1, y2, y3, y4 in kern.ray_ints:  # step 1
             if a * x + b1 * y1 + b2 * y2 + b3 * y3 + b4 * y4 < 0:
-                return 0, DivClass((a, b1, b2, b3, b4))
+                return 0, (a, b1, b2, b3, b4)
         mask, bit = 0, 1
         for x, y1, y2, y3, y4 in kern.curve_ints:
             if a * x + b1 * y1 + b2 * y2 + b3 * y3 + b4 * y4 < 0:
@@ -390,8 +392,8 @@ def _h0(coeffs: tuple[int, ...], t: SurfaceType) -> tuple[int, DivClass]:
         a, b1, b2, b3, b4 = a + da, b1 + db1, b2 + db2, b3 + db3, b4 + db4
         if sup.det == 1:  # D - N is nef (module docstring, support table)
             break
-    d = DivClass((a, b1, b2, b3, b4))
-    return max(chi_line(d), 0), d
+    end = (a, b1, b2, b3, b4)
+    return max(chi_coeffs(end), 0), end
 
 
 def h_all(d: DivClass, t: SurfaceType) -> tuple[int, int, int]:
@@ -400,19 +402,21 @@ def h_all(d: DivClass, t: SurfaceType) -> tuple[int, int, int]:
     The rounds run on one side only, by the -K pre-filter of the module
     docstring: on D when D.(-K) >= 0, on K - D when D.(-K) <= -5, and on
     neither in between.  A side they skip meets -K negatively, so some nef
-    ray negatively, and has h^0 = 0.
+    ray negatively, and has h^0 = 0.  Both sides and chi are read from the
+    coefficients of D, so a query builds no DivClass.
     """
-    anti_k = d.dot(_ANTI_K)
+    coeffs = d.coeffs
+    a, b1, b2, b3, b4 = coeffs
+    # D.(-K) and K - D, with K = (-3, -1, -1, -1, -1)
+    anti_k = 3 * a - b1 - b2 - b3 - b4
     h0 = h2 = 0
     if anti_k >= 0:
-        h0 = _h0(d.coeffs, t)[0]
+        h0 = _h0(coeffs, t)[0]
     elif anti_k <= -5:
-        h2 = _h0((K - d).coeffs, t)[0]
-    h1 = h0 + h2 - chi_line(d)
+        h2 = _h0((-3 - a, -1 - b1, -1 - b2, -1 - b3, -1 - b4), t)[0]
+    h1 = h0 + h2 - chi_coeffs(coeffs)
     if h1 < 0:
-        raise CohomologyConsistencyError(
-            f"negative h^1 = {h1} for {d!r} on {t.label}"
-        )
+        raise CohomologyConsistencyError(f"negative h^1 at {coeffs} on {t.label}")
     return h0, h1, h2
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "point_class",
     "f_tilde_class",
     "p_class",
+    "chi_coeffs",
     "chi_line",
     "euler_pair",
     "twist",
@@ -144,12 +145,22 @@ def p_class() -> KClass:
     return sum((line_bundle_class(d) for d in a3_block_classes()), KClass(0, ZERO, 0))
 
 
+def chi_coeffs(coeffs: tuple[int, ...]) -> int:
+    """Euler characteristic (D^2 - D.K)/2 + 1 of O(D), from the coefficients
+    (a, b1, ..., b4) of D alone.
+
+    With K = -3h + e1 + ... + e4, D^2 - D.K = a(a + 3) - sum b_i(b_i + 1).
+    """
+    a, b1, b2, b3, b4 = coeffs
+    num = a * (a + 3) - b1 * (b1 + 1) - b2 * (b2 + 1) - b3 * (b3 + 1) - b4 * (b4 + 1)
+    if num % 2:
+        raise IntegralityError(f"parity violation in chi at {coeffs}")
+    return num // 2 + 1
+
+
 def chi_line(d: DivClass) -> int:
     """Euler characteristic of O(D): (D^2 - D.K)/2 + 1."""
-    num = d.square() - d.dot(K)
-    if num % 2 != 0:
-        raise IntegralityError(f"parity violation in chi({d!r})")
-    return num // 2 + 1
+    return chi_coeffs(d.coeffs)
 
 
 def euler_pair(x: KClass, y: KClass) -> int:

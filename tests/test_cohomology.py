@@ -152,9 +152,9 @@ def test_reduction_terminal_is_order_independent():
             continue
         effective += 1
         terminal = _h0(d.coeffs, t)[1]
-        assert all(terminal.dot(c) >= 0 for c in negative_curves(t).all)
+        assert all(DivClass(terminal).dot(c) >= 0 for c in negative_curves(t).all)
         for curves in (negative_curves(t).all, tuple(reversed(negative_curves(t).all))):
-            assert _peel_h0(d, curves)[1] == terminal
+            assert _peel_h0(d, curves)[1].coeffs == terminal
     assert effective >= 100
 
 
@@ -582,7 +582,8 @@ def test_support_growth_columns_test_exactly_the_curves_that_meet_s():
 def _rounds_testing_every_curve(coeffs, t):
     """The rounds of the module docstring in Fractions, with the growth test
     of step 3 on every negative curve, and the det-1 exit: the masks of the
-    supports they solve on, in order, and the class they end at."""
+    supports they solve on, in order, and the coefficients of the class
+    they end at."""
     kern = _kernel(t)
     curves, gram = kern.curves, kern.gram
     d, masks = DivClass(coeffs), []
@@ -607,7 +608,7 @@ def _rounds_testing_every_curve(coeffs, t):
         d = d - sum((ceil(xi) * curves[i] for xi, i in zip(x, idx)), ZERO)
         if det == 1:
             break
-    return masks, d
+    return masks, d.coeffs
 
 
 @pytest.mark.parametrize("label", [t.label for t in catalog()])
@@ -868,6 +869,38 @@ def test_h_all_runs_the_rounds_once_and_only_on_a_side_that_meets_minus_k(monkey
             assert all(DivClass(x).dot(-K) >= 0 for x in calls), (t.label, d)
             h0, h2 = _h0(d.coeffs, t)[0], _h0((K - d).coeffs, t)[0]
             assert got == (h0, h0 + h2 - c, h2), (t.label, d)
+
+
+def test_h_all_builds_no_divclass_on_a_warm_type(monkeypatch):
+    # the rounds, K - D and chi all run on coefficient tuples: with the
+    # support tables filled, a query constructs no DivClass on either side
+    # of the pre-filter or in the band between them
+    classes = [DivClass(d) for d in itertools.product(range(-1, 2), repeat=5)]
+    classes += [DivClass((3, -1, -4, 0, 0)), 64 * E[1], 20 * K]
+    sides = {(k >= 0) - (k <= -5) for k in (d.dot(-K) for d in classes)}
+    assert sides == {1, 0, -1}
+    want = {t.label: [h_all(d, t) for d in classes] for t in catalog()}
+    built = []
+    real = DivClass.__post_init__
+
+    def counted(self):
+        built.append(self.coeffs)
+        real(self)
+
+    monkeypatch.setattr(DivClass, "__post_init__", counted)
+    for t in catalog():
+        assert [h_all(d, t) for d in classes] == want[t.label], t.label
+    assert built == []
+
+
+def test_h_all_names_a_negative_h1_class_by_its_coefficients(monkeypatch):
+    # (0, -1, -1, -1, -1) meets -K in 4, so the rounds run on D alone; with
+    # h^0 = 0 there, h^1 = -chi = -1
+    monkeypatch.setattr(cohomology, "_h0", lambda coeffs, t: (0, coeffs))
+    with pytest.raises(
+        CohomologyConsistencyError, match=r"^negative h\^1 at \(0, -1, -1, -1, -1\) on I\.1$"
+    ):
+        h_all(DivClass((0, -1, -1, -1, -1)), surface_type("I.1"))
 
 
 def test_sweep_agrees_with_kernel_runs_on_d_and_k_minus_d_separately():
@@ -1153,14 +1186,13 @@ def test_box_codes_span_at_most_16_codes_per_row_at_bounds_0_to_8():
 
 
 def test_scalar_rounds_end_where_they_did_before_the_unimodular_exit():
-    # (h^0, the class the rounds end at) of _h0 on the bound-3 box of every
-    # type, in catalog order, as the rounds gave them when a det-1 round
-    # still ran one more round to find its class nef
+    # (h^0, the coefficients of the class the rounds end at) of _h0 on the
+    # bound-3 box of every type, in catalog order, as the rounds gave them
+    # when a det-1 round still ran one more round to find its class nef
     digest = hashlib.sha256()
     for t in catalog():
         for d in itertools.product(range(-3, 4), repeat=5):
-            h0, end = _h0(d, t)
-            digest.update(repr((h0, end.coeffs)).encode())
+            digest.update(repr(_h0(d, t)).encode())
     assert digest.hexdigest() == "c92c6f2ffbbf2cf6960544ac930a94f55dfde1c72117d658435450f27d73e290"
 
 
