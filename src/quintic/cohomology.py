@@ -436,10 +436,13 @@ def f_tilde_cohomology(t: SurfaceType) -> tuple[int, int, int]:
         )
     h0 = lower[0] + upper[0]
     cls = f_tilde_class()
-    if euler_pair(structure_class(), cls) != h0:
-        raise CohomologyConsistencyError("extension class chi mismatch")
+    chi = euler_pair(structure_class(), cls)
+    if chi != h0:
+        raise CohomologyConsistencyError(f"{t.label}: extension class chi {chi} != h^0 {h0}")
     if cls.c1 != -K:
-        raise CohomologyConsistencyError("extension class determinant mismatch")
+        raise CohomologyConsistencyError(
+            f"{t.label}: extension class determinant {cls.c1.coeffs} != -K = {(-K).coeffs}"
+        )
     return (h0, 0, 0)
 
 
@@ -502,8 +505,8 @@ def r1_chain_vanishing(p: ChainProblem) -> ChainCertificate:
 
 def sweep_box(t: SurfaceType, bound: int = 4, return_arrays: bool = False) -> dict:
     """h_all on every class with |coefficients| <= bound, with consistency
-    checks (h^1 >= 0, parity of chi, every step of the walk landing on a
-    row, the cap on its pointer jumping) built in."""
+    checks (h^1 >= 0, every step of the walk landing on a row, the cap on
+    its pointer jumping) built in."""
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
         raise ValueError(f"sweep bound must be an int >= 0, not {bound!r}")
     from .sweep import run  # the first call loads quintic.sweep and numpy

@@ -27,7 +27,6 @@ __all__ = [
     "right_mutate",
     "left_mutate",
     "gram",
-    "assert_unitriangular",
     "is_unitriangular",
     "replay",
     "run_walk",
@@ -89,13 +88,6 @@ def is_unitriangular(c: ExcCollection) -> bool:
     return _triangle_break(c) is None
 
 
-def assert_unitriangular(c: ExcCollection) -> bool:
-    broken = _triangle_break(c)
-    if broken is not None:
-        raise MutationError(f"Gram matrix not unitriangular for {c.labels()}: {broken}")
-    return True
-
-
 def right_mutate(c: ExcCollection, i: int) -> ExcCollection:
     """Replace the pair (E, F) at (i, i+1) by (F, chi(E,F)*F - E)."""
     if not 0 <= i < len(c) - 1:
@@ -120,29 +112,27 @@ def left_mutate(c: ExcCollection, i: int) -> ExcCollection:
     return c.replaced(objects)
 
 
-def replay(c: ExcCollection, script: Sequence[dict], check) -> ExcCollection:
-    """Apply a list of {kind, index} steps.
+def replay(c: ExcCollection, script: Sequence[dict]) -> tuple[ExcCollection, ...]:
+    """Apply a list of {kind, index} steps and return the trace: c, then the
+    collection after every atomic mutation.
 
     kind is one of "right", "left", "transpose-to-end"; the last is the
     macro moving the object at the index to the final slot by successive
-    right mutations.  ``check`` is called on the collection after every
-    atomic mutation.
+    right mutations, each of which the trace holds.
     """
+    trace = [c]
     for step in script:
         kind, index = step["kind"], step["index"]
         if kind == "right":
-            c = right_mutate(c, index)
-            check(c)
+            trace.append(right_mutate(trace[-1], index))
         elif kind == "left":
-            c = left_mutate(c, index)
-            check(c)
+            trace.append(left_mutate(trace[-1], index))
         elif kind == "transpose-to-end":
             for j in range(index, len(c) - 1):
-                c = right_mutate(c, j)
-                check(c)
+                trace.append(right_mutate(trace[-1], j))
         else:
             raise MutationError(f"unknown step kind {kind!r}")
-    return c
+    return tuple(trace)
 
 
 def run_walk(
@@ -150,24 +140,28 @@ def run_walk(
     script: Sequence[dict],
     target: ExcCollection,
     key: Callable[[object], tuple[int, ...]],
-    check: Callable[[ExcCollection], object],
-) -> tuple[bool, ...]:
+) -> tuple[tuple[ExcCollection, ...], tuple[bool, ...]]:
     """Replay script from start and compare the end with target slot by slot.
 
-    ``check`` is called on start and after every atomic mutation.  A slot is
-    True when ``key`` of the end class is ``key`` of the target class or its
+    Returns the trace of replay and one bool per slot.  Every collection of
+    the trace, start included, must have a unitriangular Gram matrix, else
+    MutationError names the first that breaks it.  A slot is True when
+    ``key`` of the end class is ``key`` of the target class or its
     negative: the categorical mutation shifts objects, so classes match up
     to a sign per slot.
     """
     if len(start) != len(target):
         raise MutationError(f"walk of length {len(start)} to a target of {len(target)}")
-    check(start)
-    end = replay(start, script, check)
+    trace = replay(start, script)
+    for c in trace:
+        broken = _triangle_break(c)
+        if broken is not None:
+            raise MutationError(f"Gram matrix not unitriangular for {c.labels()}: {broken}")
     slots = []
-    for x, y in zip(end.classes(), target.classes()):
+    for x, y in zip(trace[-1].classes(), target.classes()):
         kx, ky = key(x), key(y)
         slots.append(kx == ky or kx == tuple(-v for v in ky))
-    return tuple(slots)
+    return trace, tuple(slots)
 
 
 # ---------------------------------------------------------------------------
@@ -255,24 +249,12 @@ def run_sodwdp_derivation() -> dict:
     ``slots`` holds one bool per slot: the end class equals the target class
     up to sign.  Every atomic mutation must keep the Gram matrix
     unitriangular (else MutationError); ``preserves_span`` reports whether
-    each also kept the integer span of the classes.
+    each collection of the trace has the integer span of the start.
     """
-
-    def span(c: ExcCollection):
-        return hermite_normal_form([x.int_vector() for x in c.classes()])
-
-    start = sodwdp_start_collection()
-    start_span = span(start)
-    preserves_span = True
-
-    def check(c: ExcCollection) -> None:
-        nonlocal preserves_span
-        assert_unitriangular(c)
-        preserves_span &= span(c) == start_span
-
-    target = sodwdp_target_collection()
-    slots = run_walk(start, SODWDP_DERIVATION, target, KClass.int_vector, check)
-    return {"slots": slots, "preserves_span": preserves_span}
+    start, target = sodwdp_start_collection(), sodwdp_target_collection()
+    trace, slots = run_walk(start, SODWDP_DERIVATION, target, KClass.int_vector)
+    spans = [hermite_normal_form([x.int_vector() for x in c.classes()]) for c in trace]
+    return {"slots": slots, "preserves_span": all(s == spans[0] for s in spans)}
 
 
 # ---------------------------------------------------------------------------

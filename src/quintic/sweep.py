@@ -66,9 +66,10 @@ that none wraps (under NEP 50, int8 + 3 stays int8 and wraps silently),
 and the pre-filter's masks as bools.  The kernel rows are points of the
 grid that holds both the box and K - box, which runs from its corner to
 bound on every axis.  chi and each D.P are sums of one term per
-coefficient (for chi half of sign_j d_j (d_j - k_j), an integer as every
-k_j is odd), so their extremes over the box, and over each partial sum,
-are sums of per-coefficient extremes, and _on_grid adds the terms one
+coefficient (for chi, chi(d_j u_j) - 1 from euler.chi_coeffs, u_j the
+j-th unit coefficient vector, plus 1 on the first axis), so their
+extremes over the box, and over each partial sum, are sums of
+per-coefficient extremes, and _on_grid adds the terms one
 axis at a time, by broadcasting into an array of that dtype.  Up to bound
 6 all are int8.  The grid codes take the dtype of their own range (int32
 at bound 5), and so do the rows' codes in the padded grid; each row's
@@ -96,6 +97,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cohomology import _SIGNS, CohomologyConsistencyError, _Kernel
+from .euler import chi_coeffs
 from .lattice import K, DivClass
 
 _CHUNK = 8192
@@ -249,14 +251,13 @@ def _box(bound: int, rays: tuple[DivClass, ...]) -> _BoxData:
         deg = _on_grid(signs * np.array(p.coeffs)[:, None] * r)
         h0_mask &= deg >= 0
         h2_mask &= deg <= K.dot(p)
-    # D^2 - D.K = sum_j sign_j d_j (d_j - k_j); every k_j is odd, so each
-    # term is even, and chi = 1 + the sum of the halved terms
-    num = signs * r * (r - k)
-    if (num & 1).any():
-        raise CohomologyConsistencyError(f"parity violation in chi at bound {bound}")
-    half = num >> 1
-    half[0] += 1
-    chi = _on_grid(half)
+    # chi - 1 is the sum over the axes j of chi(d_j u_j) - 1, u_j the j-th
+    # unit coefficient vector
+    terms = np.array(
+        [[chi_coeffs((0,) * j + (x,) + (0,) * (4 - j)) - 1 for x in r.tolist()] for j in range(5)]
+    )
+    terms[0] += 1
+    chi = _on_grid(terms)
     # the codes of D and of K - D in the grid that holds both the box and K - box
     corner = np.minimum(-bound, k - bound)
     sides = tuple((s + np.abs(k)).ravel().tolist())

@@ -33,7 +33,7 @@ from quintic.cohomology import (
     r1_chain_vanishing,
     sweep_box,
 )
-from quintic.euler import chi_line
+from quintic.euler import chi_line, line_bundle_class, point_class, structure_class
 from quintic.lattice import (
     E,
     H,
@@ -253,6 +253,28 @@ def test_a3_collection_forward_exts_follow_chain_structure():
 def test_f_tilde_cohomology_all_types():
     for t in catalog():
         assert f_tilde_cohomology(t) == (5, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        # chi(O, pt) = 1, so chi(O, F) becomes 6 against h^0 = 5
+        (lambda f: f + point_class(), r"I\.1: extension class chi 6 != h\^0 5"),
+        # chi(O, O(e1)) = chi(O, O) = 1 keeps chi at 5 but moves c1 off -K
+        (
+            lambda f: f + line_bundle_class(E[1]) - structure_class(),
+            r"I\.1: extension class determinant \(3, 0, 1, 1, 1\) != -K = \(3, 1, 1, 1, 1\)",
+        ),
+    ],
+    ids=["chi", "determinant"],
+)
+def test_f_tilde_class_fault_fails_the_cohomology_suite(monkeypatch, fault, message):
+    from quintic.suites import suite_cohomology
+
+    real = cohomology.f_tilde_class
+    monkeypatch.setattr(cohomology, "f_tilde_class", lambda: fault(real()))
+    with pytest.raises(CohomologyConsistencyError, match=f"^{message}$"):
+        suite_cohomology(0)
 
 
 def test_chain_problem_validation():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from quintic.euler import (
     HILBERT_POINTS,
+    IntegralityError,
     KClass,
     chi_line,
     euler_pair,
@@ -51,6 +52,13 @@ def test_chi_line_values():
     assert chi_line(E[1]) == 1
     assert chi_line(H - E[1]) == 2
     assert chi_line(H - E[1] - E[2]) == 1
+
+
+def test_chi_line_rejects_a_half_integer_coefficient():
+    # DivClass checks only the length of its coefficients, so the parity
+    # check in chi_coeffs is what stops a non-integer class
+    with pytest.raises(IntegralityError, match=r"parity violation in chi"):
+        chi_line(DivClass((Fraction(1, 2), 0, 0, 0, 0)))
 
 
 def test_kclass_rejects_bad_denominator():

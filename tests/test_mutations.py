@@ -25,7 +25,6 @@ from quintic.mutations import (
     ExcCollection,
     MutationError,
     UnmatchedCurveError,
-    assert_unitriangular,
     contraction_compatibility,
     gram,
     hermite_normal_form,
@@ -93,7 +92,24 @@ def test_failed_check_names_the_first_broken_entry():
     )
     message = "Gram matrix not unitriangular for ('O(h)', 'O'): chi(O, O(h)) = 3 at (1, 0)"
     with pytest.raises(MutationError, match=re.escape(message)):
-        assert_unitriangular(c)
+        run_walk(c, (), c, KClass.int_vector)
+
+
+def test_walk_names_the_first_broken_collection_after_the_start():
+    # integer classes, orthogonal but for chi(-1, 2) = 5: the start passes,
+    # and the first right mutation turns (1, 2) into (2, -1), which fails;
+    # so does the collection after the second, which the gate never reaches
+    def pairing(x, y):
+        return 5 if (x, y) == (-1, 2) else int(x == y)
+
+    c = ExcCollection(tuple((f"E{k}", k) for k in range(1, 5)), pairing)
+    script = [{"kind": "right", "index": 0}, {"kind": "right", "index": 2}]
+    message = (
+        "Gram matrix not unitriangular for ('E2', 'R(E1)', 'E3', 'E4'):"
+        " chi(R(E1), E2) = 5 at (1, 0)"
+    )
+    with pytest.raises(MutationError, match=re.escape(message)):
+        run_walk(c, script, c, lambda x: (x,))
 
 
 def test_start_and_target_collections_unitriangular():
@@ -125,7 +141,7 @@ def test_right_mutation_of_orthogonal_pair_transposes():
 
 def test_mutation_past_whole_collection_is_anticanonical_twist():
     c = sodwdp_start_collection()
-    final = replay(c, [{"kind": "transpose-to-end", "index": 0}], lambda c: None)
+    final = replay(c, [{"kind": "transpose-to-end", "index": 0}])[-1]
     moved = final.classes()[-1]
     expected = line_bundle_class(-K - H)  # O(-h) twisted by O(-K)
     assert moved in (expected, -expected)
@@ -157,12 +173,12 @@ def test_index_out_of_range():
 
 def test_empty_script_is_identity():
     c = sodwdp_start_collection()
-    assert replay(c, [], lambda c: None).classes() == c.classes()
+    assert replay(c, []) == (c,)
 
 
 def test_script_prefix_moves_first_bundle_to_end():
     c = sodwdp_start_collection()
-    out = replay(c, SODWDP_DERIVATION[:1], lambda c: None)
+    out = replay(c, SODWDP_DERIVATION[:1])[-1]
     expected = line_bundle_class(-K - H)
     assert out.classes()[-1] in (expected, -expected)
     assert out.classes()[0] == line_bundle_class(E[4] - H)
@@ -175,30 +191,26 @@ def test_full_derivation_reaches_target():
 
 def test_walk_one_step_short_misses_a_slot():
     start, target = sodwdp_start_collection(), sodwdp_target_collection()
-    slots = run_walk(
-        start, SODWDP_DERIVATION[:-1], target, KClass.int_vector, assert_unitriangular
-    )
+    trace, slots = run_walk(start, SODWDP_DERIVATION[:-1], target, KClass.int_vector)
     assert len(slots) == 7 and not all(slots)
     target = ExcCollection(lefschetz_objects(), rhom_chi)
-    slots = run_walk(
-        kapranov_collection(), GR25_LEFSCHETZ[:-1], target, chi_vector, assert_unitriangular
-    )
+    trace, slots = run_walk(kapranov_collection(), GR25_LEFSCHETZ[:-1], target, chi_vector)
     assert len(slots) == 10 and not all(slots)
 
 
 def test_walk_calls_check_on_start_and_every_atomic_mutation():
-    seen = []
+    # the gate checks every collection of the trace
     start = sodwdp_start_collection()
-    run_walk(start, SODWDP_DERIVATION, start, KClass.int_vector, seen.append)
+    trace, _ = run_walk(start, SODWDP_DERIVATION, start, KClass.int_vector)
     # five moves to the end of a seven-object collection, then one left mutation
-    assert seen[0] is start
-    assert len(seen) == 1 + 5 * 6 + 1
+    assert trace[0] is start
+    assert len(trace) == 1 + 5 * 6 + 1
 
 
 def test_walk_rejects_a_target_of_another_length():
     start = sodwdp_start_collection()
     with pytest.raises(MutationError):
-        run_walk(start, (), line_collection(H), KClass.int_vector, assert_unitriangular)
+        run_walk(start, (), line_collection(H), KClass.int_vector)
 
 
 def test_derivation_mismatch_is_a_false_check(monkeypatch):
@@ -213,22 +225,17 @@ def test_derivation_mismatch_is_a_false_check(monkeypatch):
 def test_derivation_keeps_unitriangular_and_span():
     c = sodwdp_start_collection()
     start_span = span(c)
-    seen = [c]
-
-    def check(col):
-        assert_unitriangular(col)
-        seen.append(col)
-
-    final = replay(c, SODWDP_DERIVATION, check)
-    assert len(seen) > len(SODWDP_DERIVATION)  # macros expand to atomic steps
-    for col in seen:
+    trace = replay(c, SODWDP_DERIVATION)
+    assert len(trace) > len(SODWDP_DERIVATION)  # macros expand to atomic steps
+    for col in trace:
+        assert is_unitriangular(col)
         assert span(col) == start_span
-    assert span(final) == start_span
+    assert span(trace[-1]) == start_span
 
 
 def test_final_left_mutation_builds_extension_class():
     c = sodwdp_start_collection()
-    out = replay(c, SODWDP_DERIVATION, lambda c: None)
+    out = replay(c, SODWDP_DERIVATION)[-1]
     assert out.classes()[1] in (f_tilde_class(), -f_tilde_class())
     assert f_tilde_class() == line_bundle_class(-K - H) + line_bundle_class(H)
 
